@@ -53,7 +53,7 @@ class QuantumDevice:
         """Apply ``dt_ns`` of idle decoherence on every qubit of ``state``.
 
         One-qubit states go through the memoized 4x4 superoperator (one
-        matmul); larger registers loop per-qubit Kraus channels.  The
+        matmul); larger registers apply one Kraus channel per qubit.  The
         replay engine calls this on scratch states with recorded
         intervals, so recorded and replayed rounds share one code path
         (and therefore identical floating-point results).

@@ -118,28 +118,26 @@ class DensityMatrix:
         self.data = (superop @ self.data.reshape(4)).reshape(2, 2)
 
     def apply_kraus(self, kraus_ops: list[np.ndarray], qubit: int) -> None:
-        """Apply a single-qubit channel: rho <- sum_k K rho K+."""
+        """Apply a single-qubit channel: rho <- sum_k K rho K+.
+
+        The ops fold into the 4x4 superoperator ``S[(a,b),(i,j)] = sum_k
+        K[a,i] conj(K[b,j])``, applied by one matmul on the target's axes.
+        """
         if not 0 <= qubit < self.n_qubits:
             raise ValueError(f"qubit {qubit} out of range")
-        if self.n_qubits == 1:
-            self.data = sum(
-                np.asarray(k, dtype=complex) @ self.data
-                @ np.asarray(k, dtype=complex).conj().T
-                for k in kraus_ops)
-            return
-        n = self.n_qubits
-        ket = self._axis(qubit)
-        bra = n + ket
-        total = np.zeros_like(self.data).reshape((2,) * (2 * n))
-        tensor = self._as_tensor()
-        for kop in kraus_ops:
-            kop = np.asarray(kop, dtype=complex)
-            term = np.tensordot(kop, tensor, axes=([1], [ket]))
-            term = np.moveaxis(term, 0, ket)
-            term = np.tensordot(kop.conj(), term, axes=([1], [bra]))
-            term = np.moveaxis(term, 0, bra)
-            total += term
-        self.data = total.reshape(self.data.shape)
+        try:
+            ops = np.asarray(kraus_ops, dtype=complex)
+        except ValueError:  # ragged list
+            ops = np.empty(0)
+        if ops.ndim != 3 or ops.shape[1:] != (2, 2) or len(ops) == 0:
+            raise ValueError(f"Kraus ops of shapes {[np.shape(k) for k in kraus_ops]} "
+                             "do not stack to (m, 2, 2) with m >= 1")
+        superop = np.einsum("kai,kbj->abij", ops, ops.conj()).reshape(4, 4)
+        hi, lo = 1 << (self.n_qubits - 1 - qubit), 1 << qubit
+        # (hi, 2, lo) per side -> target ket/bra axes last -> matmul -> back.
+        blocks = self.data.reshape(hi, 2, lo, hi, 2, lo).transpose(0, 2, 3, 5, 1, 4)
+        out = (blocks.reshape(-1, 4) @ superop.T).reshape(hi, lo, hi, lo, 2, 2)
+        self.data = out.transpose(0, 4, 1, 2, 5, 3).reshape(self.data.shape)
 
     def basis_index(self) -> int | None:
         """Computational-basis index if this is *exactly* a basis state.

@@ -157,3 +157,19 @@ def test_invalid_shapes_rejected():
         dm.apply_unitary(np.eye(4), (0, 0))
     with pytest.raises(ValueError):
         dm.apply_unitary(np.eye(2), (5,))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("ops, shape_text", [
+    ([], "[]"),
+    ([np.eye(4)], "(4, 4)"),
+    ([np.eye(2), np.eye(4)], "(2, 2), (4, 4)"),
+])
+def test_malformed_kraus_ops_rejected(width, ops, shape_text):
+    dm = DensityMatrix.ground(width)
+    before = dm.data.copy()
+    with pytest.raises(ValueError, match=r"\(m, 2, 2\)") as info:
+        dm.apply_kraus(ops, 0)
+    assert shape_text in str(info.value)
+    # The state is left untouched rather than zeroed.
+    assert np.array_equal(dm.data, before)

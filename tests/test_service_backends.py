@@ -51,6 +51,22 @@ def flip_spec(seed=None, n_rounds=2, label=""):
                    seed=seed, label=label)
 
 
+def warm_every_worker(svc, workers):
+    """Run throwaway flip jobs until each worker holds the flip machine.
+
+    A worker's pool builds the machine exactly once, so the number of
+    results with ``machine_reused`` false is the number of warm workers.
+    """
+    warm = 0
+    for _ in range(20):
+        futures = [svc.submit(flip_spec(label="warm-up"))
+                   for _ in range(workers)]
+        warm += sum(not r.machine_reused for r in svc.iter_completed(futures))
+        if warm == workers:
+            return
+    pytest.fail(f"only {warm} of {workers} workers ran a warm-up job")
+
+
 def mixed_specs():
     """Seeds, an upload sweep point, and a replay-eligible job."""
     config = MachineConfig(qubits=(2,), trace_enabled=False)
@@ -169,10 +185,15 @@ class TestIterCompleted:
             pytest.skip("serial submission resolves eagerly in order")
         # One heavy job submitted first, then light ones: with two
         # workers the light jobs overtake it in the completion stream.
+        # Both workers are warmed first: a cold worker's first job pays
+        # the machine build (~0.1 s), which is longer than the heavy
+        # job's own margin over a light one, so a light job landing on
+        # the later-starting cold worker could finish after the heavy.
         heavy = flip_spec(seed=0, n_rounds=60, label="heavy")
         heavy.replay = False
         lights = [flip_spec(seed=s, label=f"light{s}") for s in (1, 2, 3, 4)]
         with ExperimentService(backend=backend, workers=2) as svc:
+            warm_every_worker(svc, workers=2)
             svc.submit(heavy)
             for spec in lights:
                 svc.submit(spec)
