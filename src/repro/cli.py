@@ -5,8 +5,8 @@ Usage::
     python -m repro assemble prog.qasm -o prog.bin
     python -m repro disassemble prog.bin
     python -m repro run prog.qasm --qubits 2 --trace
-    python -m repro allxy --rounds 256
     python -m repro exp --list
+    python -m repro exp allxy --param n_rounds=256
     python -m repro exp rabi --qubits 2 --param n_rounds=16 --stream
     python -m repro exp bell --qubits 0-1 --param n_rounds=64
     python -m repro exp bell --qubits 0-1 --mitigation zne,readout
@@ -116,20 +116,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         for record in machine.trace:
             print("  ", record)
     return 0 if result.completed else 1
-
-
-def cmd_allxy(args: argparse.Namespace) -> int:
-    from repro.reporting.tables import sparkline
-    from repro.session import Session
-
-    with Session(MachineConfig(qubits=(2,), trace_enabled=False,
-                               seed=args.seed)) as session:
-        result = session.run("allxy", n_rounds=args.rounds)
-    print("ideal   :", sparkline(result.ideal, 0, 1))
-    print("measured:", sparkline(result.fidelity, 0, 1))
-    print(f"deviation: {result.deviation:.4f} "
-          f"(paper: 0.012 at N = 25600; this run N = {args.rounds})")
-    return 0
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -322,8 +308,16 @@ def _print_sweep_stats(sweep) -> None:
 
 
 def _run_specs(svc, specs, stream: bool):
-    """Execute a batch; with ``stream``, print results as they finish."""
-    from repro.experiments.runner import run_spec_sweep
+    """Execute a batch; with ``stream``, print results as they finish.
+
+    Streaming submits every spec up front, prints each result in
+    completion order, and gathers the sweep in submission order, so it
+    is bit-identical to ``run_batch`` on any backend.  The stream is
+    scoped to this batch's futures.
+    """
+    import time
+
+    from repro.service import SweepResult
 
     if not stream:
         return svc.run_batch(specs)
@@ -335,7 +329,12 @@ def _run_specs(svc, specs, stream: bool):
         print(f"  done [{job.executor}] {job.label or job.seed}"
               f"  ({job.execute_s:.3f} s){note}")
 
-    return run_spec_sweep(svc, specs, on_result=announce)
+    t0 = time.perf_counter()
+    futures = [svc.submit(spec, stream=False) for spec in specs]
+    for result in svc.iter_completed(futures):
+        announce(result)
+    return SweepResult.from_jobs([future.result() for future in futures],
+                                 time.perf_counter() - t0, svc.backend)
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -461,6 +460,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service.backends import QUMA_BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="QuMA reproduction toolchain (Fu et al., MICRO 2017)")
@@ -484,11 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON machine configuration (see docs)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("allxy", help="run the Figure 9 AllXY experiment")
-    p.add_argument("--rounds", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_allxy)
-
     p = sub.add_parser(
         "exp",
         help="run a registered experiment through the Session facade")
@@ -511,11 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "result per qubit ('0,1'); '-'-joined registers "
                         "address entangling experiments ('0-1,1-2' sweeps "
                         "two pairs, '0-1-2' one GHZ chain)")
-    p.add_argument("--backend",
-                   choices=("serial", "process", "async", "fleet"),
+    p.add_argument("--backend", choices=tuple(QUMA_BACKENDS),
                    default="serial")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the process/async backends")
+                   help="worker processes for the process backend")
     p.add_argument("--fleet-workers", default=None, dest="fleet_workers",
                    metavar="HOST:PORT,...",
                    help="worker daemon addresses for --backend fleet "
@@ -563,11 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-replay", dest="replay", action="store_false",
                    help="disable the round-replay fast path "
                         "(full event-driven simulation of every round)")
-    p.add_argument("--backend",
-                   choices=("serial", "process", "async", "fleet"),
+    p.add_argument("--backend", choices=tuple(QUMA_BACKENDS),
                    default="serial")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the process/async backends")
+                   help="worker processes for the process backend")
     p.add_argument("--fleet-workers", default=None, dest="fleet_workers",
                    metavar="HOST:PORT,...",
                    help="worker daemon addresses for --backend fleet "

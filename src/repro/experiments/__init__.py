@@ -13,8 +13,7 @@ in :data:`~repro.experiments.base.REGISTRY` and run through
 :class:`repro.session.Session`.  Experiments address *target registers*
 (tuples of qubits): ``session.run("rabi", qubits=(0, 1))`` fans out two
 single-qubit targets, ``session.run("bell", targets=((0, 1),))`` runs
-one two-qubit register.  The legacy ``run_*`` functions remain as
-deprecated wrappers.
+one two-qubit register.
 """
 
 from repro.experiments.base import (
@@ -33,9 +32,8 @@ from repro.experiments.allxy import (
     allxy_job,
     allxy_labels,
     build_allxy_program,
-    run_allxy,
 )
-from repro.experiments.runner import run_compiled, run_spec_sweep, ExperimentRun
+from repro.experiments.runner import run_compiled, ExperimentRun
 from repro.experiments.analysis import (
     fit_exponential_decay,
     fit_damped_cosine,
@@ -47,13 +45,10 @@ from repro.experiments.coherence import (
     RamseyExperiment,
     T1Experiment,
     coherence_job,
-    run_echo,
-    run_ramsey,
-    run_t1,
 )
-from repro.experiments.rabi import RabiExperiment, rabi_job, run_rabi, RabiResult
+from repro.experiments.rabi import RabiExperiment, rabi_job, RabiResult
 from repro.experiments.cliffords import CliffordGroup
-from repro.experiments.rb import RBExperiment, rb_sequence_job, run_rb, RBResult
+from repro.experiments.rb import RBExperiment, rb_sequence_job, RBResult
 from repro.experiments.entangling import (
     BellExperiment,
     BellResult,
@@ -75,9 +70,7 @@ __all__ = [
     "allxy_job",
     "allxy_labels",
     "build_allxy_program",
-    "run_allxy",
     "run_compiled",
-    "run_spec_sweep",
     "ExperimentRun",
     "Estimate",
     "Experiment",
@@ -88,9 +81,6 @@ __all__ = [
     "fit_exponential_decay",
     "fit_damped_cosine",
     "fit_rb_decay",
-    "run_t1",
-    "run_ramsey",
-    "run_echo",
     "CoherenceResult",
     "EchoExperiment",
     "RamseyExperiment",
@@ -98,12 +88,10 @@ __all__ = [
     "coherence_job",
     "RabiExperiment",
     "rabi_job",
-    "run_rabi",
     "RabiResult",
     "CliffordGroup",
     "RBExperiment",
     "rb_sequence_job",
-    "run_rb",
     "RBResult",
     "BellExperiment",
     "BellResult",

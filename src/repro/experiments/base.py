@@ -18,13 +18,9 @@ concatenated spec groups, so every experiment batches over registers for
 free (``session.run("bell", targets=((0, 1), (1, 2)))`` returns a
 ``{target: result}`` mapping).
 
-Single-qubit experiments remain the 1-tuple special case: the base
-class's default per-target trio delegates to the legacy per-qubit trio
-``build_qubit_specs`` / ``analyze_qubit`` / ``estimate_qubit``, so an
-experiment written against the per-qubit protocol runs unchanged (and
-bit-identically) through the target-register machinery, and
-``session.run("rabi", qubits=(0, 1))`` still means two single-qubit
-targets.
+Single-qubit experiments are the 1-tuple special case: they implement
+the same trio and unpack ``(qubit,) = target``, and
+``session.run("rabi", qubits=(0, 1))`` means two single-qubit targets.
 
 The module-level :data:`REGISTRY` maps names to classes; experiment
 modules self-register via :func:`register_experiment`, and the generic
@@ -148,21 +144,6 @@ class Estimate:
         return self.n_results >= self.n_specs
 
     @property
-    def per_qubit(self) -> dict[int, dict | None]:
-        """Legacy single-qubit view, keyed by bare qubit label.
-
-        Only defined when every target is a single qubit; an estimate
-        holding wider registers raises, since collapsing ``(0, 1)`` to a
-        qubit key would misattribute a joint fit.
-        """
-        if any(len(target) > 1 for target in self.per_target):
-            raise ConfigurationError(
-                "per_qubit is the single-qubit view; this estimate holds "
-                f"multi-qubit targets {tuple(self.per_target)} — use "
-                "per_target")
-        return {target[0]: fit for target, fit in self.per_target.items()}
-
-    @property
     def values(self) -> dict | None:
         """The *single-target* convenience view.
 
@@ -216,10 +197,6 @@ class ExperimentState:
         return [(i - start, self.results[i])
                 for i in range(start, stop) if i in self.results]
 
-    def qubit_results(self, qubit: int) -> list[tuple[int, JobResult]]:
-        """Legacy spelling of :meth:`target_results` for 1-tuple targets."""
-        return self.target_results((qubit,))
-
     def __len__(self) -> int:
         return len(self.results)
 
@@ -232,13 +209,12 @@ class Experiment(abc.ABC):
     parameters are rejected at construction), and :attr:`target_arity`
     (qubits per target register: 1 for the single-qubit calibrations, 2
     for pair experiments, None for variable-width registers), then
-    implement the per-target trio ``build_target_specs`` /
-    ``analyze_target`` / ``estimate_target`` — or, for single-qubit
-    experiments, the legacy per-qubit trio the base class's defaults
-    delegate to.  ``config`` defaults to a fresh :class:`MachineConfig`;
-    ``targets`` defaults to the config's first wired qubit, and every
-    requested qubit must be wired (with every required flux pair wired
-    for multi-qubit targets).
+    implement the per-target hooks: ``build_target_specs`` and
+    ``analyze_target`` (abstract), optionally ``estimate_target`` and
+    ``summarize_target``.  ``config`` defaults to a fresh
+    :class:`MachineConfig`; ``targets`` defaults to the config's first
+    wired qubit, and every requested qubit must be wired (with every
+    required flux pair wired for multi-qubit targets).
     """
 
     #: Registry key; subclasses override.
@@ -348,23 +324,9 @@ class Experiment(abc.ABC):
     def resolve(self) -> None:
         """Fill parameter defaults that depend on the config (hook)."""
 
+    @abc.abstractmethod
     def build_target_specs(self, target: Target) -> list[JobSpec]:
-        """The sweep's jobs for one target register, in submission order.
-
-        The default is the single-qubit compatibility shim: 1-tuple
-        targets delegate to :meth:`build_qubit_specs`.
-        """
-        if len(target) == 1:
-            return self.build_qubit_specs(target[0])
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement build_target_specs "
-            f"for {len(target)}-qubit targets")
-
-    def build_qubit_specs(self, qubit: int) -> list[JobSpec]:
-        """Legacy single-qubit hook behind :meth:`build_target_specs`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither build_target_specs "
-            "nor build_qubit_specs")
+        """The sweep's jobs for one target register, in submission order."""
 
     def build_specs(self) -> list[JobSpec]:
         """All targets' specs concatenated, cached on first call."""
@@ -382,10 +344,6 @@ class Experiment(abc.ABC):
         self.build_specs()
         return self._slices[target]
 
-    def qubit_slice(self, qubit: int) -> tuple[int, int]:
-        """Legacy spelling of :meth:`target_slice` for 1-tuple targets."""
-        return self.target_slice((qubit,))
-
     def target_of(self, index: int) -> Target:
         """The target whose spec group contains this submission index."""
         self.build_specs()
@@ -395,44 +353,19 @@ class Experiment(abc.ABC):
         raise ConfigurationError(
             f"index {index} outside the sweep of {len(self._specs)}")
 
-    def qubit_of(self, index: int) -> int:
-        """Legacy spelling of :meth:`target_of` for 1-tuple targets."""
-        return self.target_of(index)[0]
-
     # -- analysis ------------------------------------------------------------
 
+    @abc.abstractmethod
     def analyze_target(self, jobs: list[JobResult], target: Target):
-        """One target's full result from its submission-ordered jobs.
-
-        The default is the single-qubit compatibility shim: 1-tuple
-        targets delegate to :meth:`analyze_qubit`.
-        """
-        if len(target) == 1:
-            return self.analyze_qubit(jobs, target[0])
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement analyze_target "
-            f"for {len(target)}-qubit targets")
-
-    def analyze_qubit(self, jobs: list[JobResult], qubit: int):
-        """Legacy single-qubit hook behind :meth:`analyze_target`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither analyze_target "
-            "nor analyze_qubit")
+        """One target's full result from its submission-ordered jobs."""
 
     def estimate_target(self, indexed_jobs: list[tuple[int, JobResult]],
                         target: Target) -> dict | None:
         """Fit parameters from a *partial* target slice (``(index,
         result)`` pairs in submission order); None when unconstrained.
         On a complete slice this must agree with :meth:`analyze_target`'s
-        fit.  1-tuple targets delegate to :meth:`estimate_qubit`.
+        fit.  The default provides no incremental fit.
         """
-        if len(target) == 1:
-            return self.estimate_qubit(indexed_jobs, target[0])
-        return None
-
-    def estimate_qubit(self, indexed_jobs: list[tuple[int, JobResult]],
-                       qubit: int) -> dict | None:
-        """Legacy single-qubit hook behind :meth:`estimate_target`."""
         return None
 
     def stderr_target(self, indexed_jobs: list[tuple[int, JobResult]],
@@ -519,16 +452,7 @@ class Experiment(abc.ABC):
     # -- presentation --------------------------------------------------------
 
     def summarize_target(self, result, target: Target) -> str:
-        """One line describing one target's result (CLI output).
-
-        1-tuple targets delegate to :meth:`summarize_qubit`.
-        """
-        if len(target) == 1:
-            return self.summarize_qubit(result, target[0])
-        return repr(result)
-
-    def summarize_qubit(self, result, qubit: int) -> str:
-        """Legacy single-qubit hook behind :meth:`summarize_target`."""
+        """One target's result as CLI output (one or more lines)."""
         return repr(result)
 
     def summary(self, result) -> str:
@@ -616,24 +540,6 @@ class ExperimentRegistry:
 
     def __iter__(self):
         return iter(self.names())
-
-
-def run_deprecated(name: str, config, service, **params):
-    """Shared body of the deprecated ``run_*`` wrappers.
-
-    Reproduces the historical behavior exactly: the caller's config (or
-    a fresh default one) on the process-wide shared default service (or
-    the one passed in), through ``Session.run``.  The caller emits its
-    own :class:`DeprecationWarning` first, so the warning points at the
-    legacy call site.
-    """
-    from repro.service.scheduler import default_service
-    from repro.session import Session
-
-    session = Session(config if config is not None else MachineConfig(),
-                      service=service if service is not None
-                      else default_service())
-    return session.run(name, **params)
 
 
 #: The process-wide default registry (the CLI and Session resolve here).

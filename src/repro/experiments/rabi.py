@@ -9,23 +9,20 @@ mechanism the control box uses for calibration sweeps.
 Points execute through the orchestration service: one job per amplitude,
 sharing a pooled machine and the cached assembly of the (amplitude-
 independent) sequence program.  :class:`RabiExperiment` is the
-declarative form (``session.run("rabi", ...)``); :func:`run_rabi` remains
-as a deprecated wrapper.
+declarative form (``session.run("rabi", ...)``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import curve_fit
 
 from repro.core.config import MachineConfig
-from repro.experiments.base import (Experiment, register_experiment,
-                                    run_deprecated)
+from repro.experiments.base import Experiment, Target, register_experiment
 from repro.pulse.envelopes import gaussian
-from repro.service import ExperimentService, JobSpec, LUTUpload
+from repro.service import JobSpec, LUTUpload
 
 #: Scratch operation name for the swept pulse.
 RABI_OP = "RABI"
@@ -111,12 +108,13 @@ class RabiExperiment(Experiment):
             self.params["amplitudes"] = np.linspace(
                 0.0, min(2.2 * self.expected_pi, 0.999), 21)
 
-    def build_qubit_specs(self, qubit: int) -> list[JobSpec]:
+    def build_target_specs(self, target: Target) -> list[JobSpec]:
+        (qubit,) = target
         return [rabi_job(self.config, qubit, amp, self.params["n_rounds"],
                          replay=self.params["replay"])
                 for amp in self.params["amplitudes"]]
 
-    def analyze_qubit(self, jobs, qubit: int) -> RabiResult:
+    def analyze_target(self, jobs, target: Target) -> RabiResult:
         amplitudes = self.params["amplitudes"]
         populations = np.asarray([job.normalized[0] for job in jobs])
         fit = _fit_oscillation(np.asarray(amplitudes, dtype=float),
@@ -126,7 +124,7 @@ class RabiExperiment(Experiment):
                           pi_amplitude=fit["pi_amplitude"],
                           expected_pi_amplitude=self.expected_pi)
 
-    def estimate_qubit(self, indexed_jobs, qubit: int) -> dict | None:
+    def estimate_target(self, indexed_jobs, target: Target) -> dict | None:
         if len(indexed_jobs) < 3:
             return None  # the 3-parameter fit is underdetermined
         amps = np.asarray([job.params["amplitude"]
@@ -134,25 +132,8 @@ class RabiExperiment(Experiment):
         pops = np.asarray([job.normalized[0] for _, job in indexed_jobs])
         return _fit_oscillation(amps, pops, self.expected_pi)
 
-    def summarize_qubit(self, result: RabiResult, qubit: int) -> str:
+    def summarize_target(self, result: RabiResult, target: Target) -> str:
         return (f"pi amplitude {result.pi_amplitude:.4f} "
                 f"(expected {result.expected_pi_amplitude:.4f}, "
                 f"error {result.amplitude_error():.2e})")
 
-
-def run_rabi(config: MachineConfig | None = None,
-             amplitudes: np.ndarray | None = None,
-             n_rounds: int = 64,
-             service: ExperimentService | None = None,
-             on_result=None) -> RabiResult:
-    """Deprecated wrapper over ``Session.run("rabi", ...)``.
-
-    Kept bit-identical to the historical behavior: points are submitted
-    as futures on the shared default service, ``on_result`` observes each
-    point in completion order, and the fit runs over amplitude-ordered
-    results.
-    """
-    warnings.warn("run_rabi is deprecated; use Session.run('rabi', ...) "
-                  "instead", DeprecationWarning, stacklevel=2)
-    return run_deprecated("rabi", config, service, amplitudes=amplitudes,
-                          n_rounds=n_rounds, on_result=on_result)

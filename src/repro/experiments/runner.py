@@ -1,25 +1,14 @@
-"""Common experiment runner: compiled program -> machine -> averages.
-
-Also home of :func:`run_spec_sweep`, the submit-based sweep helper the
-batch experiments (Rabi, RB) route through: specs fan out as futures on
-whatever backend the service runs, results stream back in completion
-order for progress hooks, and the returned :class:`SweepResult` is
-assembled in submission order so fits stay deterministic.
-"""
+"""Common experiment runner: compiled program -> machine -> averages."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.compiler.codegen import CompiledProgram
 from repro.core.config import MachineConfig
 from repro.core.quma import QuMA, RunResult, check_run_result
-from repro.service.job import JobResult, JobSpec, SweepResult
-from repro.service.scheduler import ExperimentService
 from repro.utils.errors import ReproError
 
 
@@ -47,32 +36,6 @@ class ExperimentRun:
             cal = self.machine.readout_calibration
             s0, s1 = cal.s_ground, cal.s_excited
         return (self.averages - s0) / (s1 - s0)
-
-
-def run_spec_sweep(service: ExperimentService, specs: Sequence[JobSpec], *,
-                   on_result: Callable[[JobResult], None] | None = None
-                   ) -> SweepResult:
-    """Submit a sweep's specs as futures; gather in submission order.
-
-    The experiments' bridge onto the futures API: every spec is submitted
-    up front (fanning out across the service's workers), ``on_result``
-    observes each :class:`JobResult` in *completion* order as it streams
-    in (progress bars, live plots), and the returned :class:`SweepResult`
-    lists jobs in submission order — bit-identical to ``run_batch`` on any
-    backend.
-
-    The stream is scoped to this sweep's own submission group
-    (``service.iter_completed(futures)``), so concurrent sweeps on one
-    service never steal each other's results.
-    """
-    t0 = time.perf_counter()
-    futures = [service.submit(spec, stream=False) for spec in specs]
-    for result in service.iter_completed(futures):
-        if on_result is not None:
-            on_result(result)
-    results = [future.result() for future in futures]
-    return SweepResult.from_jobs(results, time.perf_counter() - t0,
-                                 service.backend)
 
 
 def run_compiled(compiled: CompiledProgram, config: MachineConfig,

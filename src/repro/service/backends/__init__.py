@@ -8,8 +8,6 @@ and the service composes them through a
 
 * :class:`SerialBackend` — in-process reference implementation;
 * :class:`ProcessBackend` — persistent multiprocessing worker pool;
-* :class:`AsyncBackend` — asyncio job queue over process workers,
-  resolving futures in completion order;
 * :class:`FleetBackend` / :class:`RemoteBackend` — remote worker
   daemons over the fleet socket protocol (``repro worker``), with
   least-outstanding sharding and cross-host ``WorkerLost`` recovery;
@@ -19,7 +17,6 @@ and the service composes them through a
 
 from __future__ import annotations
 
-from repro.service.backends.async_queue import AsyncBackend
 from repro.service.backends.base import (
     ExecutorBackend,
     execute_job,
@@ -39,7 +36,6 @@ from repro.utils.errors import ConfigurationError
 QUMA_BACKENDS = {
     SerialBackend.name: SerialBackend,
     ProcessBackend.name: ProcessBackend,
-    AsyncBackend.name: AsyncBackend,
     FleetBackend.name: FleetBackend,
 }
 
@@ -56,7 +52,6 @@ def create_backend(name: str, **kwargs) -> ExecutorBackend:
 
 
 __all__ = [
-    "AsyncBackend",
     "BaselineBackend",
     "ExecutorBackend",
     "FleetBackend",

@@ -102,7 +102,7 @@ def execute_job(spec: JobSpec, pool: MachinePool, cache: CompileCache,
     averages for the same run seed, so caching never changes results.
 
     ``metrics`` is the executing context's registry (worker-local for
-    process/async workers); job counters and stage histograms land there.
+    process and fleet workers); job counters and stage histograms land there.
     With ``spec.telemetry`` the result additionally carries lifecycle
     spans, the simulator trace (when the machine traces), and the
     registry snapshot — none of which touches the RNG streams, so

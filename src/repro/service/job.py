@@ -142,8 +142,8 @@ class JobSpec:
     #: Per-attempt wall-clock budget (seconds); None means unbounded.
     #: Enforced cooperatively at lifecycle-stage boundaries in-process
     #: (a :class:`~repro.utils.errors.JobTimeout` is retryable), and by
-    #: the process/async worker watchdogs, which kill-and-respawn a
-    #: worker whose job overstays its whole attempt budget.
+    #: the process worker watchdog, which kills and respawns a worker
+    #: whose job overstays its whole attempt budget.
     timeout: float | None = None
 
     def __post_init__(self):
@@ -270,7 +270,7 @@ class JobFuture:
         monotonic clock; ``result.total_s`` is the job's worker-side wall
         time.  Their difference is the submit-to-start latency (queue
         wait + dispatch + pickling) — the number that was previously
-        invisible for the process/async backends.
+        invisible for the process backend.
 
         Duck-typed: futures carrying non-JobResult payloads (tests,
         ad-hoc uses of set_result) pass through untouched.
@@ -291,8 +291,7 @@ class JobFuture:
         """Resolve this future with :class:`JobCancelled` if still pending.
 
         Returns True when the cancellation won the race.  Semantics per
-        backend: the async backend's consumers skip cancelled jobs before
-        execution; the process backend cannot revoke a dispatched task,
+        backend: the process backend cannot revoke a dispatched task,
         so the job may still run on a worker but its late result is
         discarded (the future stays cancelled).  The serial backend
         resolves futures eagerly, so cancel always returns False there.
@@ -367,7 +366,7 @@ class JobResult:
     total_s: float = 0.0
     #: Submit-to-start latency on the submitter's clock, filled in when
     #: the job's future resolves (~0 for the serial backend; the queue +
-    #: dispatch + pickling overhead for process/async).
+    #: dispatch + pickling overhead for process/fleet).
     queue_wait_s: float = 0.0
     #: Spans / simulator trace / worker metrics snapshot, when the spec
     #: ran with ``telemetry=True`` (None otherwise — and for artifacts).
@@ -475,10 +474,11 @@ class SweepResult:
                   backend: str) -> "SweepResult":
         """Assemble a sweep with batch aggregates derived from the jobs.
 
-        The single construction path `run_batch` and `run_spec_sweep`
-        share, so their results stay identical by construction: worker-
-        local pools and caches never report back, hence the aggregates
-        come from the job flags themselves.
+        The single construction path of every sweep (`run_batch`,
+        `Session` futures, the streamed CLI batch), so their results stay
+        identical by construction: worker-local pools and caches never
+        report back, hence the aggregates come from the job flags
+        themselves.
         """
         reuses = sum(1 for job in jobs if job.machine_reused)
         hits = sum(1 for job in jobs if job.cache_hit)

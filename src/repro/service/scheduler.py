@@ -12,10 +12,9 @@ executor backends (see ``repro.service.backends``) and executes
   wrappers: submit everything, gather in submission order.
 
 ``backend=`` selects the QuMA route's executor (``"serial"``,
-``"process"``, ``"async"``, or ``"fleet"`` — remote ``repro worker``
-daemons named by ``fleet_workers=``/``$REPRO_FLEET_WORKERS``); every
-service additionally routes
-``executor="baseline"`` specs to the APS2 cost model, so one batch can
+``"process"``, or ``"fleet"`` — remote ``repro worker`` daemons named by
+``fleet_workers=``/``$REPRO_FLEET_WORKERS``); every service additionally
+routes ``executor="baseline"`` specs to the APS2 cost model, so one batch can
 interleave both.  Job execution is a pure function of the spec (per-job
 RNG streams are re-derived from the spec's run seed), so all backends
 produce bit-identical results in submission order.
@@ -32,6 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.views import ServiceStats
 from repro.service.backends import (
+    QUMA_BACKENDS,
     BaselineBackend,
     SerialBackend,
     create_backend,
@@ -67,7 +67,7 @@ def grid(**axes: Iterable) -> list[dict]:
 class ExperimentService:
     """Batched experiment orchestration over cache + pool + dispatcher."""
 
-    BACKENDS = ("serial", "process", "async", "fleet")
+    BACKENDS = tuple(QUMA_BACKENDS)
 
     def __init__(self, backend: str = "serial", workers: int | None = None,
                  cache: CompileCache | None = None,
@@ -319,7 +319,7 @@ class ExperimentService:
     # -- execution -----------------------------------------------------------
 
     def run_job(self, spec: JobSpec) -> JobResult:
-        """Execute a single job inline (serially, even on process/async).
+        """Execute a single job inline (serially, even on process/fleet).
 
         QuMA specs run against the service-local cache and pool; other
         routes go through their executor synchronously.  Failure

@@ -156,7 +156,7 @@ class JobError(ReproError):
 
     Produced once a job has exhausted its retry attempts (or failed
     non-retryably): the message is ``"<OriginalType>: <original message>"``
-    on every backend, so serial, process, and async executions of the same
+    on every backend, so serial, process, and fleet executions of the same
     faulty spec surface the *same* exception type and message — the
     failing-job parity contract.  ``remote_traceback`` preserves the full
     worker-side traceback that a bare pickled exception would lose.

@@ -89,10 +89,23 @@ def test_bad_assembly_error(tmp_path, capsys):
 
 
 def test_allxy_command(capsys):
-    rc = main(["allxy", "--rounds", "8"])
+    """``repro exp allxy`` prints Figure 9: both staircases and the
+    deviation against the paper's value."""
+    rc = main(["exp", "allxy", "--param", "n_rounds=8"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "deviation:" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ideal   : ")
+    assert lines[1].startswith("measured: ")
+    assert len(lines[0]) == len(lines[1]) == len("ideal   : ") + 42
+    assert lines[2].startswith("deviation: ")
+    assert "paper: 0.012 at N = 25600; this run N = 8" in lines[2]
+
+
+def test_allxy_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["allxy"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'allxy'" in capsys.readouterr().err
 
 
 def test_exp_list(capsys):

@@ -5,9 +5,9 @@ returns bit-identical ``SweepResult.averages()`` for the same specs, and
 ``iter_completed`` yields every submitted job exactly once whatever order
 they finish in.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process`` to pin the
 parametrized backend (the CI matrix runs one backend per job); unset, the
-tests cover all three.
+tests cover both.
 """
 
 import os
@@ -18,7 +18,7 @@ import pytest
 from repro.compiler import CompilerOptions, QuantumProgram
 from repro.core import MachineConfig
 from repro.experiments.rabi import rabi_job
-from repro.experiments.runner import run_spec_sweep
+from repro.cli import _run_specs
 from repro.service import (
     CompileCache,
     ExperimentService,
@@ -28,7 +28,7 @@ from repro.service import (
 )
 from repro.utils.errors import ConfigurationError, ReproError
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 
@@ -88,6 +88,17 @@ class TestBackendRegistry:
             ExperimentService(backend="threads")
         with pytest.raises(ConfigurationError):
             create_backend("threads")
+
+    @pytest.mark.parametrize("name", ["async", "bogus"])
+    def test_rejection_names_every_backend(self, name):
+        """One registry: the error lists exactly the selectable backends,
+        and the removed asyncio queue is no longer one of them."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            ExperimentService(backend=name)
+        message = str(excinfo.value)
+        for backend in ("serial", "process", "fleet"):
+            assert repr(backend) in message
+        assert "'async'" not in message.split("choose from")[1]
 
 
 class TestParity:
@@ -240,19 +251,21 @@ class TestScopedDraining:
         assert sorted(f.result().seed for f in seen) == [0, 1, 2, 3]
         assert all(f.done() for f in seen)
 
-    def test_concurrent_sweeps_do_not_steal_results(self, backend):
-        """The documented run_spec_sweep footgun, fixed: two interleaved
-        sweeps on one service each see exactly their own stream."""
+    def test_concurrent_sweeps_do_not_steal_results(self, backend, capsys):
+        """Two interleaved sweeps on one service each see exactly their
+        own stream: the streamed CLI batch drains only its own futures."""
         specs_a = [flip_spec(seed=s, label=f"a{s}") for s in range(3)]
         specs_b = [flip_spec(seed=s, label=f"b{s}") for s in range(3)]
-        seen_a, seen_b = [], []
+        seen_a = []
         with ExperimentService(backend=backend, workers=2) as svc:
             futures_a = [svc.submit(spec) for spec in specs_a]
-            sweep_b = run_spec_sweep(svc, specs_b, on_result=seen_b.append)
+            sweep_b = _run_specs(svc, specs_b, stream=True)
             for result in svc.iter_completed(futures_a):
                 seen_a.append(result)
+        announced = capsys.readouterr().out
         assert sorted(r.label for r in seen_a) == ["a0", "a1", "a2"]
-        assert sorted(r.label for r in seen_b) == ["b0", "b1", "b2"]
+        assert sorted(line.split()[2] for line in announced.splitlines()
+                      ) == ["b0", "b1", "b2"]
         assert [r.label for r in sweep_b] == ["b0", "b1", "b2"]
 
     def test_global_then_scoped_yields_each_job_once(self, backend):
@@ -272,15 +285,17 @@ class TestScopedDraining:
 
 
 class TestRunSpecSweep:
-    def test_matches_run_batch_and_streams_progress(self, backend):
+    """The streamed spec sweep behind ``repro batch --stream``."""
+
+    def test_matches_run_batch_and_streams_progress(self, backend, capsys):
         specs = mixed_specs()
         serial = ExperimentService().run_batch(specs)
-        seen = []
         with ExperimentService(backend=backend, workers=2) as svc:
-            sweep = run_spec_sweep(svc, specs, on_result=seen.append)
+            sweep = _run_specs(svc, specs, stream=True)
+        announced = capsys.readouterr().out.splitlines()
         assert np.array_equal(serial.averages(), sweep.averages())
-        assert sorted(r.seed for r in seen) == sorted(s.run_seed
-                                                      for s in specs)
+        assert len(announced) == len(specs)
+        assert all(line.startswith("  done [") for line in announced)
 
 
 class TestDiskSpillCache:

@@ -14,9 +14,9 @@ semantics"):
 * exhausted attempts quarantine — reported in ``stats()``, never
   blocking the stream of healthy jobs;
 * the same faulty spec surfaces the same exception type and message on
-  serial, process, and async.
+  serial and process.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process`` to pin the
 parametrized backend (the CI matrix runs one backend per job).
 """
 
@@ -45,14 +45,13 @@ from repro.session import Session
 from repro.utils.errors import (
     ConfigurationError,
     FaultInjected,
-    JobCancelled,
     JobError,
     JobTimeout,
     TransientJobError,
     WorkerLost,
 )
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 CONCURRENT_UNDER_TEST = tuple(b for b in BACKENDS_UNDER_TEST
@@ -490,22 +489,6 @@ class TestWorkerLoss:
         assert isinstance(exc, JobError)
         assert stats["hang_kills"] >= 1
 
-    @pytest.mark.skipif("async" not in BACKENDS_UNDER_TEST,
-                        reason="async backend not under test")
-    def test_async_crash_faults_recover_bit_identical(self):
-        clean = ExperimentService(backend="serial")
-        with clean:
-            baseline = clean.run_batch([flip_spec(seed=i) for i in range(4)])
-        plan = FaultPlan(seed=7, rate=0.2, kinds=("transient", "crash"))
-        svc = ExperimentService(backend="async", workers=2, faults=plan,
-                                retry=RetryPolicy(max_attempts=10,
-                                                  backoff_s=0.001))
-        with svc:
-            sweep = svc.run_batch([flip_spec(seed=i) for i in range(4)])
-            stats = svc.stats()["routes"]["quma"]
-        assert np.array_equal(sweep.averages(), baseline.averages())
-        assert stats["failed"] == 0
-
     def test_worker_error_carries_remote_traceback(self):
         for backend in CONCURRENT_UNDER_TEST:
             svc = ExperimentService(backend=backend, workers=1)
@@ -543,24 +526,6 @@ class TestDrainAndCancel:
                        for i in range(3)]
             svc.close()  # no drain first: close must still resolve all
             assert all(f.done() for f in futures)
-
-    @pytest.mark.skipif("async" not in BACKENDS_UNDER_TEST,
-                        reason="async backend not under test")
-    def test_cancel_skips_queued_async_jobs(self):
-        plan = FaultPlan(seed=2, rate=1.0, kinds=("hang",), hang_s=0.5,
-                         sites=("execute",), max_faults_per_site=1)
-        svc = ExperimentService(backend="async", workers=1, faults=plan)
-        with svc:
-            first = svc.submit(flip_spec(seed=0), stream=False)
-            queued = svc.submit(flip_spec(seed=1), stream=False)
-            cancelled = queued.cancel()
-            svc.drain(timeout=60.0)
-            assert cancelled and queued.cancelled()
-            with pytest.raises(JobCancelled):
-                queued.result()
-            assert first.exception() is None
-            stats = svc.stats()["routes"]["quma"]
-            assert stats["cancelled"] == 1 and stats["failed"] == 0
 
     def test_cancel_on_resolved_serial_future_is_refused(self):
         svc = ExperimentService(backend="serial")

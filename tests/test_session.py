@@ -4,15 +4,16 @@ The tentpole contracts under test:
 
 * the registry names every shipped experiment, unknown names fail
   loudly, and unknown parameters are rejected at construction;
-* the deprecated ``run_*`` wrappers warn and return results bit-identical
-  to ``Session.run`` on every backend (serial always; process/async in
-  the slow tier);
+* ``Session.run`` returns results bit-identical to a serial session on
+  every backend (serial always; process in the slow tier);
+* an experiment must implement ``build_target_specs`` and
+  ``analyze_target``;
 * the final incremental ``update()`` estimate agrees exactly with the
   one-shot ``analyze()`` fit over the same sweep;
 * multi-qubit runs return one result per qubit, each normalized against
   its own readout calibration.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process`` to pin the
 parametrized backend (the CI matrix runs one backend per job).
 """
 
@@ -23,20 +24,11 @@ import numpy as np
 import pytest
 
 from repro import MachineConfig, Session
-from repro.experiments import (
-    REGISTRY,
-    Estimate,
-    run_allxy,
-    run_echo,
-    run_rabi,
-    run_ramsey,
-    run_rb,
-    run_t1,
-)
+from repro.experiments import REGISTRY, Estimate
 from repro.pulse import PulseCalibration
 from repro.utils.errors import ConfigurationError
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 
@@ -86,10 +78,10 @@ def test_registry_rejects_duplicate_name():
     class A(Experiment):
         name = "x"
 
-        def build_qubit_specs(self, qubit):
+        def build_target_specs(self, target):
             return []
 
-        def analyze_qubit(self, jobs, qubit):
+        def analyze_target(self, jobs, target):
             return None
 
     class B(A):
@@ -101,55 +93,28 @@ def test_registry_rejects_duplicate_name():
         registry.register(B)
 
 
+def test_experiment_without_target_hooks_cannot_be_constructed():
+    """build_target_specs and analyze_target are abstract: a subclass
+    missing either fails at construction, not mid-sweep."""
+    from repro.experiments.base import Experiment
+
+    class NoHooks(Experiment):
+        name = "no_hooks"
+
+    class SpecsOnly(Experiment):
+        name = "specs_only"
+
+        def build_target_specs(self, target):
+            return []
+
+    for cls in (NoHooks, SpecsOnly):
+        with pytest.raises(TypeError, match="abstract"):
+            cls(fast_config())
+
+
 def test_session_lists_experiments():
     with Session(fast_config()) as session:
         assert session.experiments() == REGISTRY.names()
-
-
-# -- wrapper parity ----------------------------------------------------------
-
-
-def test_run_rabi_wrapper_warns_and_matches_session():
-    with Session(fast_config()) as session:
-        fresh = session.run("rabi", amplitudes=AMPS, n_rounds=4)
-    with pytest.warns(DeprecationWarning, match="run_rabi is deprecated"):
-        legacy = run_rabi(fast_config(), amplitudes=AMPS, n_rounds=4)
-    assert np.array_equal(legacy.population, fresh.population)
-    assert legacy.pi_amplitude == fresh.pi_amplitude
-    assert legacy.expected_pi_amplitude == fresh.expected_pi_amplitude
-
-
-def test_run_rb_wrapper_warns_and_matches_session():
-    with Session(fast_config()) as session:
-        fresh = session.run("rb", lengths=[1, 4, 8], sequences_per_length=2,
-                            n_rounds=4, seed=3)
-    with pytest.warns(DeprecationWarning, match="run_rb is deprecated"):
-        legacy = run_rb(fast_config(), lengths=[1, 4, 8],
-                        sequences_per_length=2, n_rounds=4, seed=3)
-    assert np.array_equal(legacy.survival, fresh.survival)
-    assert legacy.fit == fresh.fit
-
-
-def test_run_allxy_wrapper_warns_and_matches_session():
-    with Session(fast_config()) as session:
-        fresh = session.run("allxy", n_rounds=4)
-    with pytest.warns(DeprecationWarning, match="run_allxy is deprecated"):
-        legacy = run_allxy(fast_config(), n_rounds=4)
-    assert np.array_equal(legacy.averages, fresh.averages)
-    assert np.array_equal(legacy.fidelity, fresh.fidelity)
-    assert legacy.deviation == fresh.deviation
-
-
-@pytest.mark.parametrize("kind,wrapper", [("t1", run_t1), ("ramsey", run_ramsey),
-                                          ("echo", run_echo)])
-def test_coherence_wrappers_warn_and_match_session(kind, wrapper):
-    delays = [4, 8, 16, 24, 32, 48]
-    with Session(fast_config()) as session:
-        fresh = session.run(kind, delays_cycles=delays, n_rounds=8)
-    with pytest.warns(DeprecationWarning, match=f"run_{kind} is deprecated"):
-        legacy = wrapper(fast_config(), delays_cycles=delays, n_rounds=8)
-    assert np.array_equal(legacy.population, fresh.population)
-    assert legacy.fit == fresh.fit
 
 
 def test_ramsey_session_does_not_mutate_config():
@@ -160,16 +125,19 @@ def test_ramsey_session_does_not_mutate_config():
     assert config.drive_detuning_hz == 0.0
 
 
+# -- backend parity ----------------------------------------------------------
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
-def test_wrapper_parity_across_backends(backend):
-    """Session.run on every backend matches the serial wrapper bitwise."""
-    with pytest.warns(DeprecationWarning):
-        legacy = run_rabi(fast_config(), amplitudes=AMPS, n_rounds=4)
+def test_session_parity_across_backends(backend):
+    """Session.run on every backend matches a serial session bitwise."""
+    with Session(fast_config()) as session:
+        serial = session.run("rabi", amplitudes=AMPS, n_rounds=4)
     with Session(fast_config(), backend=backend, workers=2) as session:
         fresh = session.run("rabi", amplitudes=AMPS, n_rounds=4)
-    assert np.array_equal(legacy.population, fresh.population)
-    assert legacy.pi_amplitude == fresh.pi_amplitude
+    assert np.array_equal(serial.population, fresh.population)
+    assert serial.pi_amplitude == fresh.pi_amplitude
 
 
 # -- incremental fitting -----------------------------------------------------
@@ -268,8 +236,8 @@ def test_multi_qubit_estimate_keyed_by_qubit():
                                            amplitudes=AMPS, n_rounds=2)
         future.result()
         final = future.estimate()
-    assert sorted(final.per_qubit) == [0, 1]
-    assert all(v is not None for v in final.per_qubit.values())
+    assert sorted(final.per_target) == [(0,), (1,)]
+    assert all(v is not None for v in final.per_target.values())
 
 
 def test_multi_qubit_single_machine_pooled():
@@ -309,15 +277,15 @@ def test_estimate_values_raises_on_multi_target():
     assert final.per_target[(0,)] is not None
 
 
-def test_estimate_per_qubit_raises_on_register_targets():
-    """per_qubit is the legacy flat view; register estimates must not be
-    silently collapsed onto single qubit labels."""
+def test_estimate_keys_register_targets_by_tuple():
+    """Register estimates are keyed by the full qubit tuple, never
+    collapsed onto single qubit labels."""
     from repro.experiments.base import Estimate
 
     estimate = Estimate(n_results=1, n_specs=1,
                         per_target={(0, 1): {"fidelity": 1.0}})
-    with pytest.raises(ConfigurationError, match="per_target"):
-        estimate.per_qubit
+    assert estimate.per_target == {(0, 1): {"fidelity": 1.0}}
+    assert estimate.values == {"fidelity": 1.0}
     with pytest.raises(ConfigurationError, match="single-target"):
         Estimate(n_results=2, n_specs=2,
                  per_target={(0,): {}, (1,): {}}).values
@@ -329,7 +297,7 @@ def test_estimate_values_single_target():
     assert Estimate(n_results=0, n_specs=1).values is None
     single = Estimate(n_results=1, n_specs=1, per_target={(2,): {"x": 1.0}})
     assert single.values == {"x": 1.0}
-    assert single.per_qubit == {2: {"x": 1.0}}
+    assert single.per_target == {(2,): {"x": 1.0}}
 
 
 # -- session plumbing --------------------------------------------------------
@@ -431,9 +399,9 @@ def test_summary_lines():
 
 
 def test_no_internal_caller_trips_the_deprecation_gate():
-    """Session runs of every experiment stay silent under the
-    DeprecationWarning-as-error filter (nothing internal routes through
-    the legacy run_* paths)."""
+    """Session runs of the single-qubit experiments stay silent under a
+    DeprecationWarning-as-error filter (no internal caller trips a
+    deprecated API)."""
     delays = [4, 8, 16, 24, 32, 48]
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
