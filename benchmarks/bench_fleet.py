@@ -1,18 +1,21 @@
-"""Fleet throughput: loopback worker daemons vs the process pool.
+"""Fleet throughput: loopback worker daemons vs the local process backend.
 
 Launches 1/2/4 ``repro worker`` daemons on loopback, drives the same
 warm-cache sweep through ``backend="fleet"`` at each fleet size plus
-the process backend, and records jobs/s for every configuration in
-``BENCH_fleet.json``.  Every fleet sweep is asserted bit-identical to
-the serial reference first — throughput numbers for wrong answers are
-not throughput numbers.
+``backend="process"`` (two fork-started local daemons), and records
+jobs/s for every configuration in ``BENCH_fleet.json``.  Every
+configuration gets the same warm-up — fresh workers, a fresh cache
+directory, one untimed pass of the sweep — and every sweep is asserted
+bit-identical to the serial reference first: throughput numbers for
+wrong answers are not throughput numbers.
 
 The interesting ratio is ``scaling_2w`` (2-worker over 1-worker
 throughput): on a multi-core box adding a daemon should approach 2x,
 and ``guard_bench.py`` enforces a floor on it whenever the recording
 machine had the cores to show it (``cpu_count >= 2`` in the artifact —
 a single-core container time-slices the daemons and can prove
-nothing about scaling).
+nothing about scaling).  ``cpu_count`` is the cores this process may
+run on (its CPU affinity), not the machine's.
 
 Env knobs for CI: ``FLEET_BENCH_POINTS`` (jobs per sweep, default 12),
 ``FLEET_BENCH_ROUNDS`` (rounds per job, default 200).
@@ -40,6 +43,13 @@ FLEET_SIZES = (1, 2, 4)
 ARTIFACT = Path(__file__).resolve().parent / "BENCH_fleet.json"
 
 
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def _specs():
     """Replay-disabled flips: every round runs the full event kernel, so
     a job is real work and distribution has something to distribute."""
@@ -54,7 +64,7 @@ def _specs():
 
 
 def _timed_sweep(svc, specs):
-    svc.run_batch(specs)  # warm: caches, pools, connections
+    svc.run_batch(specs)  # the one warm-up: caches, pools, connections
     t0 = time.perf_counter()
     sweep = svc.run_batch(specs)
     return sweep, time.perf_counter() - t0
@@ -71,13 +81,14 @@ def test_fleet_scaling_vs_process(tmp_path):
     with ExperimentService(backend="serial") as svc:
         reference, serial_s = _timed_sweep(svc, specs)
 
-    with ExperimentService(backend="process", workers=2) as svc:
+    with ExperimentService(backend="process", workers=2,
+                           cache_dir=str(tmp_path / "process-cache")) as svc:
         process_sweep, process_s = _timed_sweep(svc, specs)
     _assert_parity(reference, process_sweep)
 
-    cache_dir = str(tmp_path / "fleet-cache")
     fleet_rows = []
     for size in FLEET_SIZES:
+        cache_dir = str(tmp_path / f"fleet{size}-cache")
         procs, addrs = [], []
         try:
             for _ in range(size):
@@ -100,7 +111,7 @@ def test_fleet_scaling_vs_process(tmp_path):
     artifact = {
         "n_jobs": N_POINTS,
         "n_rounds": N_ROUNDS,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": usable_cpus(),
         "serial_jobs_per_s": round(N_POINTS / serial_s, 3),
         "process": {"workers": 2,
                     "jobs_per_s": round(N_POINTS / process_s, 3)},
@@ -123,5 +134,5 @@ def test_fleet_scaling_vs_process(tmp_path):
     # above) and a 1-worker fleet must stay within sanity of serial
     # (protocol overhead, not collapse).
     assert one["jobs_per_s"] > 0.2 * artifact["serial_jobs_per_s"]
-    if (os.cpu_count() or 1) >= 2:
+    if artifact["cpu_count"] >= 2:
         assert artifact["scaling_2w"] >= 1.1

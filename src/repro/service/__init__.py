@@ -6,9 +6,9 @@ compile cache reuses codegen and assembly across sweep points (and can
 spill to disk so cold processes start warm); a machine pool reuses
 :class:`~repro.core.quma.QuMA` control stacks across jobs with compatible
 configs; and an :class:`ExperimentService` routes specs through pluggable
-executor backends — serial, a multiprocessing worker pool, or remote
-worker daemons — with deterministic per-job seeding, plus a heterogeneous ``baseline``
-route running APS2 cost-model jobs next to QuMA sweeps.
+executor backends — serial, fork-started local worker daemons, or remote
+worker daemons — with deterministic per-job seeding, plus a heterogeneous
+``baseline`` route running APS2 cost-model jobs next to QuMA sweeps.
 
 Quick use::
 
@@ -27,7 +27,7 @@ from repro.service.backends import (
     BaselineBackend,
     ExecutorBackend,
     FleetBackend,
-    ProcessBackend,
+    LocalFleetBackend,
     RemoteBackend,
     SerialBackend,
     create_backend,
@@ -81,9 +81,9 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "LUTUpload",
+    "LocalFleetBackend",
     "MachinePool",
     "NO_RETRY",
-    "ProcessBackend",
     "RemoteBackend",
     "ReplayCache",
     "RetryPolicy",

@@ -7,10 +7,11 @@ and the service composes them through a
 :class:`~repro.service.dispatch.Dispatcher`.
 
 * :class:`SerialBackend` — in-process reference implementation;
-* :class:`ProcessBackend` — persistent multiprocessing worker pool;
-* :class:`FleetBackend` / :class:`RemoteBackend` — remote worker
-  daemons over the fleet socket protocol (``repro worker``), with
-  least-outstanding sharding and cross-host ``WorkerLost`` recovery;
+* :class:`FleetBackend` / :class:`RemoteBackend` — worker daemons over
+  the fleet socket protocol (``repro worker``), with least-outstanding
+  sharding and cross-host ``WorkerLost`` recovery;
+* :class:`LocalFleetBackend` — ``backend="process"``: the fleet over
+  fork-started local daemons on private pipes;
 * :class:`BaselineBackend` — the APS2 cost model as a heterogeneous
   dispatch route.
 """
@@ -24,9 +25,12 @@ from repro.service.backends.base import (
     retry_call,
 )
 from repro.service.backends.baseline import BaselineBackend
-from repro.service.backends.process import ProcessBackend, default_workers
 from repro.service.backends.serial import SerialBackend
-from repro.service.fleet.backend import FleetBackend, RemoteBackend
+from repro.service.fleet.backend import (
+    FleetBackend,
+    LocalFleetBackend,
+    RemoteBackend,
+)
 from repro.utils.errors import ConfigurationError
 
 #: Selectable QuMA execution backends, by ``ExperimentService(backend=...)``
@@ -35,7 +39,7 @@ from repro.utils.errors import ConfigurationError
 #: one address, not a registry-shaped kwargs set.)
 QUMA_BACKENDS = {
     SerialBackend.name: SerialBackend,
-    ProcessBackend.name: ProcessBackend,
+    LocalFleetBackend.name: LocalFleetBackend,
     FleetBackend.name: FleetBackend,
 }
 
@@ -55,12 +59,11 @@ __all__ = [
     "BaselineBackend",
     "ExecutorBackend",
     "FleetBackend",
-    "ProcessBackend",
+    "LocalFleetBackend",
     "QUMA_BACKENDS",
     "RemoteBackend",
     "SerialBackend",
     "create_backend",
-    "default_workers",
     "execute_job",
     "execute_with_retry",
     "retry_call",

@@ -293,13 +293,13 @@ def retry_call(spec: JobSpec, attempt_fn, *,
     """Run ``attempt_fn(attempt)`` under the spec's retry policy.
 
     The uniform retry loop every in-process execution path shares
-    (serial backend, pool workers, the baseline route): retryable
+    (serial backend, worker daemons, the baseline route): retryable
     failures back off deterministically and re-run; terminal failures —
     non-retryable, or attempts exhausted — raise a
     :class:`~repro.utils.errors.JobError` whose message depends only on
     the original exception, so every backend surfaces the same error for
     the same faulty spec.  ``base_attempt`` offsets the attempt numbering
-    when a watchdog resubmits after worker loss, keeping the fault
+    when a backend resubmits after worker loss, keeping the fault
     schedule and seeded backoff aligned across respawns.
 
     On success the result's ``attempts`` counts total executions, and
@@ -440,8 +440,8 @@ class ExecutorBackend(abc.ABC):
         Does not raise on failed jobs — exceptions surface when the
         caller takes ``future.result()``.  ``timeout`` bounds the *whole*
         drain; when it elapses with jobs unresolved a
-        :class:`TimeoutError` reports how many are stuck (the watchdogs
-        resolve worker-loss casualties, so an expired drain means jobs
+        :class:`TimeoutError` reports how many are stuck (worker-loss
+        recovery resolves its casualties, so an expired drain means jobs
         are genuinely still running or hung).
         """
         deadline = (None if timeout is None

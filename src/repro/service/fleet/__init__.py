@@ -11,10 +11,12 @@ The fleet extends the service layer across host boundaries:
 * :mod:`repro.service.fleet.client` — :class:`WorkerClient`, one
   multiplexed connection to a worker with reader + heartbeat threads;
 * :mod:`repro.service.fleet.backend` — :class:`RemoteBackend` (one
-  worker) and :class:`FleetBackend` (least-outstanding-jobs sharding
-  across N workers), both mapping dead connections and missed
-  heartbeats to :class:`~repro.utils.errors.WorkerLost` so the existing
-  retry/quarantine machinery recovers across hosts;
+  worker), :class:`FleetBackend` (least-outstanding-jobs sharding
+  across N workers) and :class:`LocalFleetBackend` (``backend="process"``:
+  N fork-started local daemons), all mapping dead connections, missed
+  heartbeats and overstayed jobs to
+  :class:`~repro.utils.errors.WorkerLost` so the existing
+  retry/quarantine machinery recovers;
 * :mod:`repro.service.fleet.launch` — subprocess helpers for loopback
   fleets (tests, benchmarks, examples).
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 from repro.service.fleet.backend import (
     FLEET_WORKERS_ENV,
     FleetBackend,
+    LocalFleetBackend,
     RemoteBackend,
     fleet_addresses_from_env,
 )
@@ -38,6 +41,7 @@ from repro.service.fleet.worker import WorkerServer
 __all__ = [
     "FLEET_WORKERS_ENV",
     "FleetBackend",
+    "LocalFleetBackend",
     "PROTOCOL_VERSION",
     "RemoteBackend",
     "WorkerClient",

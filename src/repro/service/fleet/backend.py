@@ -1,19 +1,20 @@
-"""Fleet executor backends: remote workers behind the futures contract.
+"""Fleet executor backends: worker daemons behind the futures contract.
 
 :class:`FleetBackend` shards submissions across N worker daemons by
 least outstanding jobs (ties to the lowest worker index), maps any
-connection loss or heartbeat silence to
+connection loss, heartbeat silence or overstayed job to
 :class:`~repro.utils.errors.WorkerLost`, and resubmits the casualties to
-surviving workers with an advanced base attempt — the exact recovery
-contract the process backend's watchdog established, extended across
-host boundaries.  Job execution is a pure function of the spec, so a
-sweep that loses a worker mid-flight still gathers bit-identical
-results.
+surviving workers with an advanced base attempt.  Job execution is a
+pure function of the spec, so a sweep that loses a worker mid-flight
+still gathers bit-identical results.
 
 :class:`RemoteBackend` is the single-worker specialization: it serves
 the "one remote box" deployment and, on loss, tries to *reconnect* to
 the same address before giving up (a restarted daemon picks the work
 back up).
+
+:class:`LocalFleetBackend` is ``backend="process"``: the same fleet over
+daemons forked from this process, re-forked in place when lost.
 
 Cache sharing: :meth:`FleetBackend.sync_compile_caches` unions the
 workers' content-addressed compile-cache spills (``CACHE_LIST`` /
@@ -26,12 +27,17 @@ also runs best-effort at :meth:`close`.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
+import signal
 import threading
+import time
+import weakref
 
 from repro.service.backends.base import ExecutorBackend
 from repro.service.faults import FaultPlan
 from repro.service.fleet.client import WorkerClient
+from repro.service.fleet.worker import WorkerServer
 from repro.service.job import JobFuture, JobSpec
 from repro.service.policy import NO_RETRY, wrap_job_failure
 from repro.utils.errors import ConfigurationError, WorkerLost
@@ -56,25 +62,34 @@ class FleetBackend(ExecutorBackend):
     :class:`ConfigurationError` — a fleet pointed at dead workers is
     misconfigured, not unlucky.
 
-    ``workers`` is accepted for construction-signature parity with the
-    in-process backends but is advisory here: parallelism is the number
-    of daemons.  ``faults`` travels with every ``SUBMIT`` frame — a
-    :class:`FaultPlan` is a frozen, stateless schedule, so shipping it
-    per job gives the same deterministic chaos as the process pool
-    (daemons may *also* arm ambiently from their own ``REPRO_FAULT_*``
-    environment; a client-supplied plan wins for its jobs).
+    Parallelism is the number of daemons.  ``faults`` travels with every
+    ``SUBMIT`` frame — a :class:`FaultPlan` is a frozen, stateless
+    schedule, so shipping it per job gives every daemon the same
+    deterministic chaos (daemons may *also* arm ambiently from their own
+    ``REPRO_FAULT_*`` environment; a client-supplied plan wins for its
+    jobs).
+
+    Jobs with a ``timeout`` get a hard ceiling: on each heartbeat tick,
+    a worker whose oldest in-flight job has overstayed its whole attempt
+    budget (``timeout`` times the attempts left, plus the total backoff,
+    plus :attr:`KILL_GRACE_S`) is marked lost.  The job's clock starts
+    at the later of its placement and that worker's last delivered
+    result: a one-slot daemon runs its jobs in arrival order.
     """
 
     name = "fleet"
 
-    def __init__(self, addresses=None, *, workers: int | None = None,
-                 cache_dir: str | None = None,
+    #: Slack added to a job's whole attempt budget before its worker is
+    #: presumed hung and marked lost.
+    KILL_GRACE_S = 1.0
+
+    def __init__(self, addresses=None, *, cache_dir: str | None = None,
                  faults: FaultPlan | None = None,
                  max_quarantine: int | None = None,
                  connect_timeout: float = 5.0,
                  request_timeout: float = 60.0,
                  heartbeat_s: float = 1.0, heartbeat_misses: int = 5,
-                 reconnect_lost: bool = False, sync_caches: bool = True):
+                 reconnect_lost: bool = False):
         super().__init__(max_quarantine=max_quarantine)
         if addresses is None:
             addresses = fleet_addresses_from_env()
@@ -87,7 +102,6 @@ class FleetBackend(ExecutorBackend):
                 f"fleet_workers=, or export {FLEET_WORKERS_ENV}="
                 f"host:port[,host:port...] after starting daemons with "
                 f"'repro worker --listen host:port'")
-        del workers  # see class docstring
         self.faults = faults
         self.cache_dir = cache_dir
         self.connect_timeout = connect_timeout
@@ -95,10 +109,10 @@ class FleetBackend(ExecutorBackend):
         self.heartbeat_s = heartbeat_s
         self.heartbeat_misses = heartbeat_misses
         self.reconnect_lost = reconnect_lost
-        self.sync_caches = sync_caches
         self.worker_losses = 0
         self.resubmissions = 0
         self.reconnects = 0
+        self.hang_kills = 0
         self.last_cache_sync: dict | None = None
         # Reentrant: loss handling runs inside submit-path sends and
         # recursively when a resubmission target dies in the same breath.
@@ -106,6 +120,7 @@ class FleetBackend(ExecutorBackend):
         self._clients: list[WorkerClient | None] = [None] * len(self.addresses)
         self._loads = [0] * len(self.addresses)
         self._shipped = [0] * len(self.addresses)
+        self._delivered_at = [0.0] * len(self.addresses)
         self._inflight: dict[int, dict] = {}
         self._tokens = itertools.count()
         self._started = False
@@ -113,15 +128,19 @@ class FleetBackend(ExecutorBackend):
 
     # -- connections ---------------------------------------------------------
 
-    def _new_client(self, index: int) -> WorkerClient:
+    def _client(self, address: str) -> WorkerClient:
+        """An unconnected client wired to this backend's callbacks."""
         return WorkerClient(
-            self.addresses[index],
+            address,
             connect_timeout=self.connect_timeout,
             request_timeout=self.request_timeout,
             heartbeat_s=self.heartbeat_s,
             heartbeat_misses=self.heartbeat_misses,
             on_result=self._on_result, on_error=self._on_error,
-            on_lost=self._on_lost).connect()
+            on_lost=self._on_lost, on_tick=self._check_overstay)
+
+    def _new_client(self, index: int) -> WorkerClient:
+        return self._client(self.addresses[index]).connect()
 
     def _ensure_started(self) -> None:
         with self._fleet_lock:
@@ -178,7 +197,8 @@ class FleetBackend(ExecutorBackend):
             token = next(self._tokens)
             self._inflight[token] = {"spec": spec, "future": future,
                                      "base_attempt": base_attempt,
-                                     "worker": index}
+                                     "worker": index,
+                                     "placed_at": time.monotonic()}
             self._loads[index] += 1
             self._shipped[index] += 1
             client = self._clients[index]
@@ -208,15 +228,18 @@ class FleetBackend(ExecutorBackend):
 
     # -- result delivery (reader threads) ------------------------------------
 
-    def _take(self, token: int) -> dict | None:
+    def _take(self, client: WorkerClient, token: int) -> dict | None:
         with self._fleet_lock:
+            index = self._index_of(client)
+            if index is not None:
+                self._delivered_at[index] = time.monotonic()
             entry = self._inflight.pop(token, None)
             if entry is not None:
                 self._loads[entry["worker"]] -= 1
             return entry
 
     def _on_result(self, client: WorkerClient, token: int, result) -> None:
-        entry = self._take(token)
+        entry = self._take(client, token)
         if entry is None:
             return  # cancelled (or recovered elsewhere) before arrival
         try:
@@ -226,7 +249,7 @@ class FleetBackend(ExecutorBackend):
 
     def _on_error(self, client: WorkerClient, token: int,
                   exc: Exception) -> None:
-        entry = self._take(token)
+        entry = self._take(client, token)
         if entry is None:
             return
         try:
@@ -235,6 +258,31 @@ class FleetBackend(ExecutorBackend):
             pass
 
     # -- worker loss ---------------------------------------------------------
+
+    def _check_overstay(self, client: WorkerClient) -> None:
+        """Mark ``client`` lost if its running job overstayed its budget."""
+        now = time.monotonic()
+        with self._fleet_lock:
+            index = self._index_of(client)
+            if index is None:
+                return
+            running = next((entry for entry in self._inflight.values()
+                            if entry["worker"] == index), None)
+            if running is None or running["spec"].timeout is None:
+                return
+            spec, base = running["spec"], running["base_attempt"]
+            policy = spec.retry if spec.retry is not None else NO_RETRY
+            budget = (spec.timeout * max(1, policy.max_attempts - base)
+                      + policy.total_backoff_s(base) + self.KILL_GRACE_S)
+            elapsed = now - max(running["placed_at"],
+                                self._delivered_at[index])
+            if elapsed <= budget:
+                return
+            self.hang_kills += 1
+        client.mark_lost(
+            f"worker {client.address} overstayed job "
+            f"{spec.label or spec.run_seed}: {elapsed:.1f} s against a "
+            f"{budget:.1f} s budget")
 
     def _on_lost(self, client: WorkerClient, reason: str) -> None:
         with self._fleet_lock:
@@ -359,7 +407,7 @@ class FleetBackend(ExecutorBackend):
                 return
             self._closing = True
             started = self._started
-        if started and self.sync_caches:
+        if started:
             try:
                 self.sync_compile_caches()
             except Exception:
@@ -399,6 +447,7 @@ class FleetBackend(ExecutorBackend):
         stats["worker_losses"] = self.worker_losses
         stats["resubmissions"] = self.resubmissions
         stats["reconnects"] = self.reconnects
+        stats["hang_kills"] = self.hang_kills
         if self.last_cache_sync is not None:
             stats["cache_sync"] = self.last_cache_sync
         return stats
@@ -424,3 +473,81 @@ class RemoteBackend(FleetBackend):
     @property
     def address(self) -> str:
         return self.addresses[0]
+
+
+#: Both ends of every local daemon's pipe still open in this process.  A
+#: forked daemon closes all of them but its own end, so only the owner
+#: can reach a daemon, and each daemon sees EOF once its owner closes the
+#: connection or dies.
+_LOCAL_PIPES: weakref.WeakSet = weakref.WeakSet()
+
+
+def _serve_local(pipe, cache_dir: str | None) -> None:
+    """Body of a fork-started local daemon: serve ``pipe``, then exit."""
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the owner's
+        for other in list(_LOCAL_PIPES):
+            if other is not pipe:
+                other.close()
+        WorkerServer(port=None, cache_dir=cache_dir,
+                     allow_crash=True).serve_connection(pipe)
+    finally:
+        # No interpreter shutdown: it would join a hung job's thread.
+        os._exit(0)
+
+
+class LocalFleetBackend(FleetBackend):
+    """``backend="process"``: the fleet over ``workers`` forked daemons.
+
+    Each daemon is a listener-less, crash-allowing :class:`WorkerServer`
+    forked from the default ``multiprocessing`` context onto one end of
+    a duplex ``multiprocessing`` pipe (a socketpair on POSIX, framed by
+    the pipe itself); it exits when that connection closes.  Every loss
+    SIGKILLs the old daemon if it still runs and forks a fresh one in
+    its slot (DESIGN.md "The fleet").
+    """
+
+    name = "process"
+
+    def __init__(self, workers: int | None = None,
+                 cache_dir: str | None = None,
+                 faults: FaultPlan | None = None,
+                 max_quarantine: int | None = None):
+        self.workers = max(1, workers or 1)
+        self._children: list = [None] * self.workers
+        super().__init__([f"local:{i}" for i in range(self.workers)],
+                         cache_dir=cache_dir, faults=faults,
+                         max_quarantine=max_quarantine, reconnect_lost=True)
+
+    def _new_client(self, index: int) -> WorkerClient:
+        self._reap(index)
+        ours, theirs = multiprocessing.Pipe()
+        _LOCAL_PIPES.update((ours, theirs))
+        child = multiprocessing.get_context().Process(
+            target=_serve_local, args=(theirs, self.cache_dir),
+            name=f"repro-local-worker-{index}", daemon=True)
+        try:
+            child.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        self._children[index] = child
+        return self._client(f"pid:{child.pid}").connect(ours)
+
+    def _reap(self, index: int, timeout: float = 0.0) -> None:
+        """Give slot ``index``'s daemon ``timeout`` s to exit, then SIGKILL it."""
+        child, self._children[index] = self._children[index], None
+        if child is None:
+            return
+        child.join(timeout)
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+    def close(self) -> None:
+        """Disconnect (each daemon then exits on EOF) and reap the daemons."""
+        super().close()
+        for index in range(self.workers):
+            self._reap(index, timeout=5.0)

@@ -1,12 +1,14 @@
 """Client side of the fleet protocol: one connection, three concerns.
 
-A :class:`WorkerClient` owns a single multiplexed TCP connection to one
-worker daemon:
+A :class:`WorkerClient` owns a single multiplexed connection to one
+worker daemon — dialed over TCP, or handed over already connected (the
+owner's end of a fork-started local daemon's ``multiprocessing`` pipe,
+which carries the same frames in its own framing):
 
 * **submissions** — ``SUBMIT`` frames keyed by backend-chosen token;
   the matching ``RESULT``/``ERROR`` frames come back whenever the worker
   finishes and are delivered through the ``on_result``/``on_error``
-  callbacks (on the reader thread, like a process pool's result handler);
+  callbacks (on the reader thread);
 * **requests** — ping/stats/cache/shutdown frames matched by ``rid``;
   :meth:`_request` blocks the calling thread until the reply (or its
   timeout) while jobs keep flowing;
@@ -16,7 +18,8 @@ worker daemon:
   hang/partition case) marks the worker lost exactly once: the socket
   is torn down, every waiting request fails, and ``on_lost`` fires so
   the owning backend can map the loss to
-  :class:`~repro.utils.errors.WorkerLost` and resubmit.
+  :class:`~repro.utils.errors.WorkerLost` and resubmit.  Each period
+  also fires ``on_tick``, where the backend checks its hang ceiling.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class WorkerClient:
     def __init__(self, address: str, *, connect_timeout: float = 5.0,
                  request_timeout: float = 30.0, heartbeat_s: float = 1.0,
                  heartbeat_misses: int = 5, on_result=None, on_error=None,
-                 on_lost=None):
+                 on_lost=None, on_tick=None):
         self.address = address
         self.host, self.port = parse_address(address)
         self.connect_timeout = connect_timeout
@@ -61,10 +64,11 @@ class WorkerClient:
         self.on_result = on_result
         self.on_error = on_error
         self.on_lost = on_lost
+        self.on_tick = on_tick
         self.alive = False
         self.welcome: dict = {}
         self.lost_reason: str | None = None
-        self._sock: socket.socket | None = None
+        self._conn = None  # a socket, or a local daemon's pipe
         self._wlock = threading.Lock()
         self._state_lock = threading.Lock()
         self._closing = False
@@ -78,16 +82,23 @@ class WorkerClient:
 
     # -- connection lifecycle ------------------------------------------------
 
-    def connect(self) -> "WorkerClient":
-        """Dial, handshake (with version check), start service threads."""
-        sock = socket.create_connection((self.host, self.port),
-                                        timeout=self.connect_timeout)
+    def connect(self, pipe=None) -> "WorkerClient":
+        """Dial (unless handed a local daemon's ``pipe``), handshake with
+        a version check, start the service threads."""
+        if pipe is None:
+            self._conn = socket.create_connection(
+                (self.host, self.port), timeout=self.connect_timeout)
+            self._conn.settimeout(self.request_timeout)
+        else:
+            self._conn = pipe
         try:
-            sock.settimeout(self.request_timeout)
-            send_frame(sock, protocol.HELLO, {
+            self._write(protocol.HELLO, {
                 "version": protocol.PROTOCOL_VERSION,
                 "client": f"pid:{os.getpid()}"})
-            kind, body = recv_frame(sock)
+            if pipe is not None and not pipe.poll(self.request_timeout):
+                raise TimeoutError(
+                    f"worker {self.address} sent no welcome")
+            kind, body = self._read()
             body = body or {}
             if kind == protocol.REJECT:
                 raise ProtocolError(
@@ -104,12 +115,12 @@ class WorkerClient:
                     f"worker {self.address} speaks protocol "
                     f"{body.get('version')}, client speaks "
                     f"{protocol.PROTOCOL_VERSION}")
-            sock.settimeout(None)
+            if pipe is None:
+                self._conn.settimeout(None)
         except BaseException:
-            sock.close()
+            protocol.hang_up(self._conn)
             raise
         self.welcome = body
-        self._sock = sock
         self._last_rx = time.monotonic()
         self.alive = True
         self._reader = threading.Thread(
@@ -122,10 +133,6 @@ class WorkerClient:
         self._heartbeat.start()
         return self
 
-    @property
-    def worker_name(self) -> str:
-        return self.welcome.get("worker", self.address)
-
     def close(self) -> None:
         """Deliberate local teardown — never reported as a worker loss."""
         with self._state_lock:
@@ -134,7 +141,7 @@ class WorkerClient:
             self._closing = True
             self.alive = False
         self._stop.set()
-        self._teardown_socket()
+        self._hang_up()
         self._fail_pending_requests(ProtocolError(
             f"connection to {self.address} closed"))
         current = threading.current_thread()
@@ -142,18 +149,9 @@ class WorkerClient:
             if thread is not None and thread is not current:
                 thread.join(timeout=5.0)
 
-    def _teardown_socket(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return
-        try:
-            sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+    def _hang_up(self) -> None:
+        if self._conn is not None:
+            protocol.hang_up(self._conn)
 
     def mark_lost(self, reason: str) -> None:
         """Declare the worker dead (idempotent); fires ``on_lost`` once."""
@@ -164,7 +162,7 @@ class WorkerClient:
             self.alive = False
             self.lost_reason = reason
         self._stop.set()
-        self._teardown_socket()
+        self._hang_up()
         self._fail_pending_requests(
             WorkerLost(reason, worker=self.address))
         if self.on_lost is not None:
@@ -183,7 +181,7 @@ class WorkerClient:
     def _reader_loop(self) -> None:
         try:
             while not self._stop.is_set():
-                kind, body = recv_frame(self._sock)
+                kind, body = self._read()
                 self._last_rx = time.monotonic()
                 body = body or {}
                 if kind == protocol.RESULT:
@@ -212,6 +210,8 @@ class WorkerClient:
                     f"worker {self.address} silent for {silent_s:.1f} s "
                     f"({self.heartbeat_misses} heartbeats missed)")
                 return
+            if self.on_tick is not None:
+                self.on_tick(self)
             try:
                 # Fire-and-forget: the pong (or any other frame) refreshes
                 # _last_rx; an unmatched rid is simply dropped.
@@ -222,13 +222,26 @@ class WorkerClient:
 
     # -- sending -------------------------------------------------------------
 
+    # protocol.write_frame/read_frame, with sockets framed through this
+    # module's send_frame/recv_frame names, which perfbench's tracer wraps.
+    def _write(self, kind: str, body: dict) -> None:
+        if isinstance(self._conn, socket.socket):
+            send_frame(self._conn, kind, body)
+        else:
+            self._conn.send((kind, body))
+
+    def _read(self) -> tuple[str, dict | None]:
+        if isinstance(self._conn, socket.socket):
+            return recv_frame(self._conn)
+        return self._conn.recv()
+
     def _send(self, kind: str, body: dict) -> None:
         with self._wlock:
-            if self._sock is None or not self.alive:
+            if self._conn is None or not self.alive:
                 raise WorkerLost(
                     self.lost_reason or f"worker {self.address} not connected",
                     worker=self.address)
-            send_frame(self._sock, kind, body)
+            self._write(kind, body)
 
     def submit(self, token: int, spec: JobSpec, base_attempt: int = 0,
                faults=None) -> None:

@@ -20,12 +20,20 @@ jobs execute.
 
 Trust model: the fleet runs between mutually trusting hosts (pickle on
 the wire), same as ``multiprocessing`` — bind workers to loopback or a
-private network, never the open internet.
+private network, never the open internet.  ``backend="process"``'s
+local daemons open no listener at all: each serves one end of a
+``multiprocessing`` pipe that only its owning process holds.  Over such
+a pipe the same ``(kind, body)`` pairs travel in the pipe's own
+length-prefixed pickle framing (:func:`write_frame`/:func:`read_frame`);
+the magic, the frame cap and the version check guard sockets that
+other hosts can reach.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import socket
 import struct
 
 from repro.utils.errors import ProtocolError
@@ -113,3 +121,38 @@ def recv_frame(sock) -> tuple[str, dict | None]:
             or not (frame[1] is None or isinstance(frame[1], dict))):
         raise ProtocolError(f"malformed frame structure: {type(frame)}")
     return frame
+
+
+def write_frame(conn, kind: str, body: dict | None = None) -> None:
+    """One frame out on a fleet socket or a local daemon's pipe."""
+    if isinstance(conn, socket.socket):
+        send_frame(conn, kind, body)
+    else:
+        conn.send((kind, body))
+
+
+def read_frame(conn) -> tuple[str, dict | None]:
+    """One frame in from a fleet socket or a local daemon's pipe."""
+    if isinstance(conn, socket.socket):
+        return recv_frame(conn)
+    return conn.recv()
+
+
+def hang_up(conn) -> None:
+    """Close a socket or socket-backed pipe and wake its blocked reader.
+
+    A thread blocked reading keeps the connection open through a bare
+    close; shutting the socket down ends that read (and the peer's)
+    with EOF at once.
+    """
+    try:
+        sock = (conn if isinstance(conn, socket.socket)
+                else socket.socket(fileno=os.dup(conn.fileno())))
+    except OSError:
+        return  # already closed
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+    conn.close()

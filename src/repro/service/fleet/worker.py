@@ -2,8 +2,7 @@
 
 A :class:`WorkerServer` owns one machine pool, one compile cache
 (optionally disk-spilled via ``--cache-dir``), one replay cache, and one
-metrics registry — the same warm state a process-pool worker holds, now
-reachable over TCP.  Jobs arrive as pickled :class:`JobSpec`\\ s on
+metrics registry.  Jobs arrive as pickled :class:`JobSpec`\\ s on
 ``SUBMIT`` frames and run through :func:`execute_with_retry`, so the
 worker-side failure semantics (per-spec retry policy, fault plan from
 its own environment, uniform ``JobError`` wrapping) are exactly those of
@@ -17,11 +16,16 @@ daemon's pool/cache access effectively serial).  Heartbeats and cache
 ops are answered from the reader thread, so a worker stays responsive
 while a job runs.
 
-Injected *crash* faults degrade to transient errors here (like the
-serial backend): a daemon is shared infrastructure that outlives any one
-client, so chaos must not take it down from the inside — killing workers
-is the test harness's job (``SIGKILL``), and the client-side
-``WorkerLost`` recovery is what's under test.
+Built with ``port=None`` a server opens no listener and serves only the
+connection handed to :meth:`WorkerServer.serve_connection` — for the
+private local daemons of ``backend="process"``, built with
+``allow_crash=True``, one end of a ``multiprocessing`` pipe.
+
+Otherwise injected *crash* faults degrade to transient errors here (like
+the serial backend): a listening daemon is shared infrastructure that
+outlives any one client, so chaos must not take it down from the inside
+— killing workers is the test harness's job (``SIGKILL``), and the
+client-side ``WorkerLost`` recovery is what's under test.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from repro.service.backends.base import execute_with_retry
 from repro.service.cache import CompileCache, ReplayCache
 from repro.service.faults import FaultPlan
 from repro.service.fleet import protocol
-from repro.service.fleet.protocol import recv_frame, send_frame
+from repro.service.fleet.protocol import hang_up, read_frame, write_frame
 from repro.service.job import JobResult, JobSpec
 from repro.service.pool import MachinePool
 from repro.utils.errors import ProtocolError
@@ -68,10 +72,11 @@ class WorkerServer:
     cache-sharing protocol frames (``CACHE_LIST``/``GET``/``PUT``
     operate on that directory's content-addressed entries); without it
     the worker reports ``cache_share: False`` in its welcome and serves
-    an in-memory cache only.
+    an in-memory cache only.  ``port=None`` binds no listener; such a
+    server is named ``pid:<pid>`` unless given a ``name``.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+    def __init__(self, host: str = "127.0.0.1", port: int | None = 0, *,
                  cache_dir: str | os.PathLike | None = None, slots: int = 1,
                  faults: FaultPlan | None = None, name: str | None = None,
                  allow_crash: bool = False):
@@ -82,11 +87,15 @@ class WorkerServer:
         self.faults = faults if faults is not None else FaultPlan.from_env()
         self.slots = max(1, int(slots))
         self.allow_crash = allow_crash
-        self._listener = socket.create_server((host, port))
-        bound_host, bound_port = self._listener.getsockname()[:2]
-        self.address = (bound_host, bound_port)
-        self.name = (name if name is not None
-                     else f"worker:{bound_host}:{bound_port}")
+        self._listener = None
+        self.address = None
+        if port is not None:
+            self._listener = socket.create_server((host, port))
+            self.address = self._listener.getsockname()[:2]
+        if name is None:
+            name = ("worker:%s:%s" % self.address if self.address is not None
+                    else f"pid:{os.getpid()}")
+        self.name = name
         self._jobs = ThreadPoolExecutor(max_workers=self.slots,
                                         thread_name_prefix="fleet-job")
         self._closed = threading.Event()
@@ -95,7 +104,7 @@ class WorkerServer:
         #: per-connection pending maps, for ``active`` stats and close-time
         #: cancellation: each is ``{token: executor handle}``.
         self._conn_pending: list[dict] = []
-        self._conns: list[socket.socket] = []
+        self._conns: list = []
         self.connections_total = 0
         self.jobs_ok = 0
         self.jobs_failed = 0
@@ -121,13 +130,7 @@ class WorkerServer:
                 conn, peer = self._listener.accept()
             except OSError:
                 return  # listener closed by stop()
-            with self._state_lock:
-                if self._closed.is_set():
-                    conn.close()
-                    return
-                self._conns.append(conn)
-                self.connections_total += 1
-            threading.Thread(target=self._serve_connection, args=(conn,),
+            threading.Thread(target=self.serve_connection, args=(conn,),
                              name=f"fleet-conn-{peer[1]}", daemon=True).start()
 
     def stop(self) -> None:
@@ -135,20 +138,14 @@ class WorkerServer:
         if self._closed.is_set():
             return
         self._closed.set()
-        # shutdown() wakes a thread blocked in accept() (close() alone
-        # does not on all platforms); the throwaway dial covers the rest.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        try:
-            socket.create_connection(self.address, timeout=1.0).close()
-        except OSError:
-            pass
+        if self._listener is not None:
+            # shutdown() wakes a thread blocked in accept() (close() alone
+            # does not on all platforms); the throwaway dial covers the rest.
+            hang_up(self._listener)
+            try:
+                socket.create_connection(self.address, timeout=1.0).close()
+            except OSError:
+                pass
         with self._state_lock:
             pending = [h for p in self._conn_pending for h in p.values()]
             conns = list(self._conns)
@@ -156,14 +153,7 @@ class WorkerServer:
             handle.cancel()
         self._jobs.shutdown(wait=True)
         for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            hang_up(conn)
         if (self._accept_thread is not None
                 and self._accept_thread is not threading.current_thread()):
             self._accept_thread.join(timeout=5.0)
@@ -176,16 +166,23 @@ class WorkerServer:
 
     # -- connection handling -------------------------------------------------
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def serve_connection(self, conn) -> None:
+        """Serve one connected socket (or local pipe end) on the calling
+        thread until it closes."""
         wlock = threading.Lock()
         pending: dict = {}
         with self._state_lock:
+            if self._closed.is_set():
+                conn.close()
+                return
+            self._conns.append(conn)
+            self.connections_total += 1
             self._conn_pending.append(pending)
         try:
             if not self._handshake(conn, wlock):
                 return
             while not self._closed.is_set():
-                kind, body = recv_frame(conn)
+                kind, body = read_frame(conn)
                 self._handle_frame(conn, wlock, pending, kind, body or {})
         except (EOFError, OSError, ProtocolError):
             pass  # client went away (or spoke garbage): drop the connection
@@ -204,8 +201,8 @@ class WorkerServer:
             except OSError:
                 pass
 
-    def _handshake(self, conn: socket.socket, wlock: threading.Lock) -> bool:
-        kind, body = recv_frame(conn)
+    def _handshake(self, conn, wlock: threading.Lock) -> bool:
+        kind, body = read_frame(conn)
         body = body or {}
         version = body.get("version")
         if kind != protocol.HELLO or version != protocol.PROTOCOL_VERSION:
@@ -216,12 +213,12 @@ class WorkerServer:
                       f"protocol version {version} != "
                       f"{protocol.PROTOCOL_VERSION}")
             with wlock:
-                send_frame(conn, protocol.REJECT, {
+                write_frame(conn, protocol.REJECT, {
                     "reason": reason,
                     "version": protocol.PROTOCOL_VERSION})
             return False
         with wlock:
-            send_frame(conn, protocol.WELCOME, {
+            write_frame(conn, protocol.WELCOME, {
                 "version": protocol.PROTOCOL_VERSION,
                 "worker": self.name,
                 "pid": os.getpid(),
@@ -270,7 +267,7 @@ class WorkerServer:
 
     def _reply(self, conn, wlock, kind: str, body: dict) -> None:
         with wlock:
-            send_frame(conn, kind, body)
+            write_frame(conn, kind, body)
 
     # -- job execution -------------------------------------------------------
 
@@ -316,7 +313,7 @@ class WorkerServer:
                                        "result": handle.result()})
         try:
             with wlock:
-                send_frame(conn, *frame)
+                write_frame(conn, *frame)
         except (OSError, ProtocolError):
             pass  # client disconnected before the result could ship
 
@@ -365,7 +362,8 @@ class WorkerServer:
         return {
             "worker": self.name,
             "pid": os.getpid(),
-            "address": f"{self.address[0]}:{self.address[1]}",
+            "address": ("%s:%s" % self.address if self.address is not None
+                        else None),
             "slots": self.slots,
             "active": active,
             "connections": connections,

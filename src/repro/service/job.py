@@ -44,7 +44,7 @@ def derive_job_seed(root: int, index: int) -> int:
     """Deterministic, well-mixed per-job seed from a sweep root seed.
 
     Stable across processes and platforms (numpy's SeedSequence entropy
-    mixing), so worker-pool and serial execution hand every job the same
+    mixing), so worker-daemon and serial execution hand every job the same
     seed regardless of scheduling order.
     """
     return int(np.random.SeedSequence([int(root), int(index)])
@@ -142,8 +142,9 @@ class JobSpec:
     #: Per-attempt wall-clock budget (seconds); None means unbounded.
     #: Enforced cooperatively at lifecycle-stage boundaries in-process
     #: (a :class:`~repro.utils.errors.JobTimeout` is retryable), and by
-    #: the process worker watchdog, which kills and respawns a worker
-    #: whose job overstays its whole attempt budget.
+    #: the fleet backends' hang ceiling, which drops (and, for local
+    #: daemons, kills and respawns) a worker whose job overstays its
+    #: whole attempt budget.
     timeout: float | None = None
 
     def __post_init__(self):
@@ -210,9 +211,9 @@ class JobFuture:
     A deliberately small, dependency-free future: thread-safe, resolvable
     exactly once, with completion callbacks (used by the service's
     ``iter_completed`` stream).  Callbacks run on whatever thread resolves
-    the future — the submitting thread for the serial backend, a pool
-    result-handler or event-loop thread otherwise — so they must be cheap
-    and non-blocking.
+    the future — the submitting thread for the serial backend, a worker
+    connection's reader thread otherwise — so they must be cheap and
+    non-blocking.
     """
 
     def __init__(self, spec: JobSpec, index: int | None = None):

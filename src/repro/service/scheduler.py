@@ -12,7 +12,8 @@ executor backends (see ``repro.service.backends``) and executes
   wrappers: submit everything, gather in submission order.
 
 ``backend=`` selects the QuMA route's executor (``"serial"``,
-``"process"``, or ``"fleet"`` — remote ``repro worker`` daemons named by
+``"process"`` — ``workers`` fork-started local daemons — or ``"fleet"``
+— ``repro worker`` daemons named by
 ``fleet_workers=``/``$REPRO_FLEET_WORKERS``); every service additionally
 routes ``executor="baseline"`` specs to the APS2 cost model, so one batch can
 interleave both.  Job execution is a pure function of the spec (per-job
@@ -23,6 +24,7 @@ produce bit-identical results in submission order.
 from __future__ import annotations
 
 import itertools
+import os
 import queue
 import threading
 import time
@@ -35,7 +37,6 @@ from repro.service.backends import (
     BaselineBackend,
     SerialBackend,
     create_backend,
-    default_workers,
     execute_with_retry,
 )
 from repro.service.cache import CompileCache, ReplayCache
@@ -51,6 +52,15 @@ from repro.service.job import (
 )
 from repro.service.pool import MachinePool
 from repro.utils.errors import ConfigurationError
+
+
+def default_workers() -> int:
+    """Leave one of this process's usable cores for the submitting process."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 2
+    return max(1, cpus - 1)
 
 
 def grid(**axes: Iterable) -> list[dict]:
@@ -113,10 +123,12 @@ class ExperimentService:
                                  faults=self.faults,
                                  max_quarantine=max_quarantine)
         else:
-            kwargs = dict(workers=self.workers, cache_dir=cache_dir,
-                          faults=self.faults, max_quarantine=max_quarantine)
+            kwargs = dict(cache_dir=cache_dir, faults=self.faults,
+                          max_quarantine=max_quarantine)
             if backend == "fleet":
                 kwargs["addresses"] = self.fleet_workers
+            else:
+                kwargs["workers"] = self.workers
             quma = create_backend(backend, **kwargs)
         self.dispatcher = Dispatcher({
             "quma": quma,
@@ -199,7 +211,7 @@ class ExperimentService:
     def _observe(self, future: JobFuture) -> None:
         """Harvest one resolved future into the service-side registry.
 
-        Runs as a done-callback (possibly on a pool result thread), after
+        Runs as a done-callback (possibly on a worker reader thread), after
         :meth:`JobFuture._finalize` stamped ``queue_wait_s`` and rebased
         any spans — the registry's own lock makes the counter updates
         safe from any thread.
@@ -311,7 +323,7 @@ class ExperimentService:
 
         ``timeout`` bounds the whole drain; an expired one raises
         :class:`TimeoutError` rather than hanging forever on a stuck
-        worker (the watchdogs resolve worker-loss casualties, so an
+        worker (worker-loss recovery resolves its casualties, so an
         expired drain means jobs are genuinely still running or hung).
         """
         self.dispatcher.drain(timeout=timeout)
@@ -344,7 +356,7 @@ class ExperimentService:
         specs = list(specs)
         t0 = time.perf_counter()
         if len(specs) == 1 and specs[0].executor == "quma":
-            # A lone job never pays worker-pool spin-up.  Wrapped in a
+            # A lone job never pays worker spin-up.  Wrapped in a
             # future anyway so queue-wait stamping and the service-side
             # metrics harvest see it like any other job.
             future = JobFuture(specs[0])

@@ -5,7 +5,7 @@ callers can catch library failures without masking programming errors.
 
 All exception types here survive a pickle round-trip with their message
 and extra attributes intact — job errors cross the process boundary from
-pool workers back to the submitting process, and a worker traceback that
+worker daemons back to the submitting process, and a worker traceback that
 arrives as ``<unpicklable>`` is useless.  The round-trip is pinned down
 by ``tests/test_utils_errors.py`` for every class in this module.
 """
@@ -125,7 +125,7 @@ class FaultInjected(TransientJobError):
 class WorkerLost(TransientJobError):
     """A worker process died (crash, SIGKILL, OOM) with this job in flight.
 
-    Raised by the backend watchdogs on the *submitting* side; retryable
+    Raised by the fleet backends on the *submitting* side; retryable
     because the loss says nothing about the job itself.
     """
 

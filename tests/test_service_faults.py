@@ -8,9 +8,11 @@ semantics"):
 * retries re-derive the identical job seed, so a sweep that recovers
   from injected transient failures lands bit-identical to a fault-free
   run on every backend (Rabi + Bell, the acceptance criterion);
-* a SIGKILLed pool worker never hangs ``drain()``: the watchdog
-  resubmits the lost job (or resolves its future with a
-  :class:`JobError`), and ``drain(timeout=...)`` bounds the wait;
+* a SIGKILLed worker daemon never hangs ``drain()``: the lost job is
+  resubmitted (or its future resolved with a :class:`JobError`), the
+  daemon is re-forked, and ``drain(timeout=...)`` bounds the wait;
+* ``backend="process"``'s daemons are private forks: no listening
+  socket, no exec, and they exit when their owner dies;
 * exhausted attempts quarantine — reported in ``stats()``, never
   blocking the stream of healthy jobs;
 * the same faulty spec surfaces the same exception type and message on
@@ -23,7 +25,11 @@ parametrized backend (the CI matrix runs one backend per job).
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +47,7 @@ from repro.service import (
     SweepResult,
 )
 from repro.service.faults import FAULT_SITES
+from repro.service.fleet import WorkerServer
 from repro.session import Session
 from repro.utils.errors import (
     ConfigurationError,
@@ -428,7 +435,7 @@ class TestWorkerLoss:
     @pytest.mark.skipif("process" not in BACKENDS_UNDER_TEST,
                         reason="process backend not under test")
     def test_sigkilled_worker_never_hangs_drain(self):
-        """Kill a live pool worker by hand mid-batch: the watchdog
+        """Kill a live worker daemon by hand mid-batch: the backend
         recovers the in-flight job and drain(timeout) returns."""
         clean = ExperimentService(backend="serial")
         with clean:
@@ -441,11 +448,7 @@ class TestWorkerLoss:
             futures = [svc.submit(flip_spec(seed=i, n_rounds=32),
                                   stream=False)
                        for i in range(6)]
-            backend = svc.dispatcher.routes["quma"]
-            deadline = time.monotonic() + 10.0
-            while backend._pool is None and time.monotonic() < deadline:
-                time.sleep(0.01)
-            victims = [p.pid for p in backend._pool._pool][:1]
+            victims = daemon_pids(svc)[:1]
             time.sleep(0.05)  # let some jobs reach the workers
             for pid in victims:
                 os.kill(pid, signal.SIGKILL)
@@ -499,6 +502,137 @@ class TestWorkerLoss:
             assert isinstance(exc, JobError)
             assert "AssemblyError" in exc.remote_traceback
             assert "Traceback" in exc.remote_traceback
+
+
+# -- local daemons: private forks that die with their owner ------------------
+
+
+def daemon_pids(svc):
+    """Pids of a started process service's live local daemons."""
+    return [worker["remote"]["pid"]
+            for worker in svc.stats()["routes"]["quma"]["workers"]
+            if worker["alive"] and "remote" in worker]
+
+
+def has_exited(pid):
+    """Gone, or a zombie nobody has reaped yet (Linux ``/proc``)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+def socket_inodes(pid):
+    inodes = set()
+    for fd in Path(f"/proc/{pid}/fd").iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:
+            continue
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
+def listening_inodes(pid):
+    """Inodes of TCP sockets in LISTEN (``0A``) and accepting Unix sockets."""
+    inodes = set()
+    for name in ("tcp", "tcp6"):
+        path = Path(f"/proc/{pid}/net/{name}")
+        if path.exists():
+            for line in path.read_text().splitlines()[1:]:
+                fields = line.split()
+                if fields[3] == "0A":
+                    inodes.add(int(fields[9]))
+    for line in Path(f"/proc/{pid}/net/unix").read_text().splitlines()[1:]:
+        fields = line.split()
+        if int(fields[3], 16) & 0x10000:  # __SO_ACCEPTCON
+            inodes.add(int(fields[6]))
+    return inodes
+
+
+@pytest.mark.skipif("process" not in BACKENDS_UNDER_TEST,
+                    reason="process backend not under test")
+class TestLocalDaemons:
+    def test_sigkilled_daemon_is_respawned(self):
+        with ExperimentService(backend="process", workers=2) as svc:
+            svc.run_batch([flip_spec(seed=i) for i in range(2)])
+            before = daemon_pids(svc)
+            assert len(before) == 2
+            os.kill(before[0], signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            after = before
+            while before[0] in after and time.monotonic() < deadline:
+                time.sleep(0.05)
+                after = daemon_pids(svc)
+            stats = svc.stats()["routes"]["quma"]
+            sweep = svc.run_batch([flip_spec(seed=i) for i in range(4)])
+        assert len(after) == 2 and before[0] not in after
+        assert before[1] in after
+        assert stats["worker_losses"] == 1 and stats["reconnects"] == 1
+        assert len(sweep) == 4
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc")
+    def test_daemons_exit_when_owner_is_sigkilled(self):
+        script = textwrap.dedent("""
+            import os, signal
+            from repro.compiler import CompilerOptions, QuantumProgram
+            from repro.core import MachineConfig
+            from repro.service import ExperimentService, JobSpec
+
+            program = QuantumProgram("flip", qubits=(2,))
+            program.new_kernel("k").prepz(2).x(2).measure(2)
+            config = MachineConfig(qubits=(2,), trace_enabled=False)
+            specs = [JobSpec(config=config,
+                             program=program, seed=seed,
+                             compiler_options=CompilerOptions(n_rounds=2))
+                     for seed in (1, 2)]
+            svc = ExperimentService(backend="process", workers=2)
+            svc.run_batch(specs)
+            workers = svc.stats()["routes"]["quma"]["workers"]
+            print(*(w["remote"]["pid"] for w in workers), flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        import repro
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        # Read the pids line, not to EOF: the daemons inherit stdout.
+        with subprocess.Popen([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE, text=True) as proc:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert proc.wait(timeout=120) == -signal.SIGKILL
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while (not all(has_exited(pid) for pid in pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if not has_exited(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc")
+    def test_daemons_are_forks_with_no_listening_socket(self):
+        # Positive control: a listening daemon's socket is detected.
+        with WorkerServer():
+            assert socket_inodes(os.getpid()) & listening_inodes(os.getpid())
+        with ExperimentService(backend="process", workers=2) as svc:
+            svc.run_batch([flip_spec(seed=i) for i in range(2)])
+            pids = daemon_pids(svc)
+            assert len(pids) == 2
+            parent_cmdline = Path("/proc/self/cmdline").read_bytes()
+            for pid in pids:
+                inodes = socket_inodes(pid)
+                assert inodes  # its end of the socketpair
+                assert not inodes & listening_inodes(pid)
+                # Forked, never exec'd: same command line as the owner.
+                assert Path(f"/proc/{pid}/cmdline").read_bytes() \
+                    == parent_cmdline
 
 
 # -- drain timeout, close, cancel ---------------------------------------------

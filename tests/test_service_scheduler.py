@@ -1,5 +1,7 @@
 """Scheduler: backends, sweeps, per-job seeding, and result parity."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.service import (
     derive_job_seed,
     grid,
 )
+from repro.service.scheduler import default_workers
 from repro.utils.errors import ConfigurationError, ReproError
 
 
@@ -147,7 +150,7 @@ class TestSweep:
         assert derive_job_seed(0, 1) != derive_job_seed(1, 0)
 
 
-class TestProcessBackend:
+class TestProcessExecutor:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ConfigurationError):
             ExperimentService(backend="threads")
@@ -169,6 +172,16 @@ class TestProcessBackend:
         with ExperimentService(backend="process", workers=2) as service:
             parallel = service.run_sweep(make_rabi, points, seed_root=3)
         assert np.array_equal(serial.averages(), parallel.averages())
+
+    def test_default_workers_honours_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert default_workers() == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+        assert default_workers() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_workers() == 63
 
     def test_single_job_batch_stays_in_process(self):
         with ExperimentService(backend="process", workers=2) as service:
