@@ -21,16 +21,8 @@ from repro.baseline.comparison import (
     upload_seconds,
     waveform_memory_bytes,
 )
-from repro.baseline.jobs import (
-    BASELINE_METRICS,
-    baseline_job,
-    execute_baseline_job,
-)
 
 __all__ = [
-    "BASELINE_METRICS",
-    "baseline_job",
-    "execute_baseline_job",
     "ExperimentSpec",
     "allxy_spec",
     "synthetic_spec",

@@ -175,16 +175,22 @@ def _retry_policy(args):
 def _print_job_failure(exc: JobError, stats) -> None:
     """One readable line per terminal failure, plus the quarantine roster."""
     print(f"error: {exc}", file=sys.stderr)
-    routes = stats.get("routes", {}) if hasattr(stats, "get") else {}
-    entries = [(route, entry) for route, st in routes.items()
-               for entry in st.get("quarantine", [])]
+    entries = stats["executor"]["quarantine"]
     if not entries:
         return
     print(f"quarantined jobs ({len(entries)}):", file=sys.stderr)
-    for route, entry in entries:
-        print(f"  [{route}] {entry['label'] or entry['seed']}: "
+    for entry in entries:
+        print(f"  {entry['label'] or entry['seed']}: "
               f"{entry['exc_type']} after {entry['attempts']} attempt(s)",
               file=sys.stderr)
+
+
+def _announce_job(job) -> None:
+    """One streamed progress line per finished job."""
+    note = ""
+    if job.replay_fallback_reason is not None:
+        note = f"  [no replay: {job.replay_fallback_reason}]"
+    print(f"  done {job.label or job.seed}  ({job.execute_s:.3f} s){note}")
 
 
 def _parse_fleet_workers(value) -> tuple[str, ...] | None:
@@ -221,13 +227,6 @@ def cmd_exp(args: argparse.Namespace) -> int:
         params = {"experiment": name, "mitigation": args.mitigation, **params}
         name = "mitigated"
 
-    def announce(job):
-        note = ""
-        if job.replay_fallback_reason is not None:
-            note = f"  [no replay: {job.replay_fallback_reason}]"
-        print(f"  done [{job.executor}] {job.label or job.seed}"
-              f"  ({job.execute_s:.3f} s){note}")
-
     def announce_estimate(estimate):
         fitted = {target_label(t): v for t, v in estimate.per_target.items()
                   if v is not None}
@@ -250,7 +249,7 @@ def cmd_exp(args: argparse.Namespace) -> int:
         future = session.submit_experiment(name, targets=targets, **params)
         try:
             result = future.result(
-                on_result=announce if args.stream else None,
+                on_result=_announce_job if args.stream else None,
                 on_estimate=announce_estimate if args.stream else None)
         except JobError as exc:
             _print_job_failure(exc, session.stats())
@@ -322,17 +321,10 @@ def _run_specs(svc, specs, stream: bool):
     if not stream:
         return svc.run_batch(specs)
 
-    def announce(job):
-        note = ""
-        if job.replay_fallback_reason is not None:
-            note = f"  [no replay: {job.replay_fallback_reason}]"
-        print(f"  done [{job.executor}] {job.label or job.seed}"
-              f"  ({job.execute_s:.3f} s){note}")
-
     t0 = time.perf_counter()
     futures = [svc.submit(spec, stream=False) for spec in specs]
     for result in svc.iter_completed(futures):
-        announce(result)
+        _announce_job(result)
     return SweepResult.from_jobs([future.result() for future in futures],
                                  time.perf_counter() - t0, svc.backend)
 

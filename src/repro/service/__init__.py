@@ -5,10 +5,9 @@ jobs (:class:`JobSpec`) describe one compiled-program execution; a
 compile cache reuses codegen and assembly across sweep points (and can
 spill to disk so cold processes start warm); a machine pool reuses
 :class:`~repro.core.quma.QuMA` control stacks across jobs with compatible
-configs; and an :class:`ExperimentService` routes specs through pluggable
-executor backends — serial, fork-started local worker daemons, or remote
-worker daemons — with deterministic per-job seeding, plus a heterogeneous
-``baseline`` route running APS2 cost-model jobs next to QuMA sweeps.
+configs; and an :class:`ExperimentService` runs specs on one pluggable
+executor backend — serial, fork-started local worker daemons, or remote
+worker daemons — with deterministic per-job seeding.
 
 Quick use::
 
@@ -24,7 +23,6 @@ Quick use::
 """
 
 from repro.service.backends import (
-    BaselineBackend,
     ExecutorBackend,
     FleetBackend,
     LocalFleetBackend,
@@ -33,7 +31,6 @@ from repro.service.backends import (
     create_backend,
     execute_job,
     execute_with_retry,
-    retry_call,
 )
 from repro.service.cache import (
     CompileCache,
@@ -41,7 +38,6 @@ from repro.service.cache import (
     microprograms_fingerprint,
     program_fingerprint,
 )
-from repro.service.dispatch import Dispatcher
 from repro.service.faults import FAULT_KINDS, FAULT_SITES, FaultPlan
 from repro.service.job import (
     STAGE_FIELDS,
@@ -67,10 +63,8 @@ from repro.service.scheduler import (
 )
 
 __all__ = [
-    "BaselineBackend",
     "CompileCache",
     "DEFAULT_RETRYABLE",
-    "Dispatcher",
     "ExecutorBackend",
     "ExperimentService",
     "FAULT_KINDS",
@@ -99,7 +93,6 @@ __all__ = [
     "microprograms_fingerprint",
     "pool_key",
     "program_fingerprint",
-    "retry_call",
     "stage_rollup",
     "wrap_job_failure",
 ]

@@ -3,17 +3,14 @@
 The scheduler's old if/else backend dispatch, refactored into a package:
 every backend implements the :class:`ExecutorBackend` contract
 (``submit(spec) -> JobFuture``, ``drain()``, ``close()``, ``stats()``)
-and the service composes them through a
-:class:`~repro.service.dispatch.Dispatcher`.
+and each service owns exactly one of them.
 
 * :class:`SerialBackend` — in-process reference implementation;
 * :class:`FleetBackend` / :class:`RemoteBackend` — worker daemons over
   the fleet socket protocol (``repro worker``), with least-outstanding
   sharding and cross-host ``WorkerLost`` recovery;
 * :class:`LocalFleetBackend` — ``backend="process"``: the fleet over
-  fork-started local daemons on private pipes;
-* :class:`BaselineBackend` — the APS2 cost model as a heterogeneous
-  dispatch route.
+  fork-started local daemons on private pipes.
 """
 
 from __future__ import annotations
@@ -22,9 +19,7 @@ from repro.service.backends.base import (
     ExecutorBackend,
     execute_job,
     execute_with_retry,
-    retry_call,
 )
-from repro.service.backends.baseline import BaselineBackend
 from repro.service.backends.serial import SerialBackend
 from repro.service.fleet.backend import (
     FleetBackend,
@@ -34,9 +29,8 @@ from repro.service.fleet.backend import (
 from repro.utils.errors import ConfigurationError
 
 #: Selectable QuMA execution backends, by ``ExperimentService(backend=...)``
-#: name.  (The baseline route is not selectable here — the dispatcher adds
-#: it to every service.  RemoteBackend is constructed directly: it wants
-#: one address, not a registry-shaped kwargs set.)
+#: name.  (RemoteBackend is constructed directly: it wants one address,
+#: not a registry-shaped kwargs set.)
 QUMA_BACKENDS = {
     SerialBackend.name: SerialBackend,
     LocalFleetBackend.name: LocalFleetBackend,
@@ -56,7 +50,6 @@ def create_backend(name: str, **kwargs) -> ExecutorBackend:
 
 
 __all__ = [
-    "BaselineBackend",
     "ExecutorBackend",
     "FleetBackend",
     "LocalFleetBackend",
@@ -66,5 +59,4 @@ __all__ = [
     "create_backend",
     "execute_job",
     "execute_with_retry",
-    "retry_call",
 ]

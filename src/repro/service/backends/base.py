@@ -287,20 +287,23 @@ def _attempt_failure_spans(failures: list, base_attempt: int) -> tuple:
     return tuple(spans)
 
 
-def retry_call(spec: JobSpec, attempt_fn, *,
-               metrics: MetricsRegistry | None = None,
-               base_attempt: int = 0) -> JobResult:
-    """Run ``attempt_fn(attempt)`` under the spec's retry policy.
+def execute_with_retry(spec: JobSpec, pool: MachinePool, cache: CompileCache,
+                       replay_cache: ReplayCache | None = None,
+                       metrics: MetricsRegistry | None = None,
+                       faults: FaultPlan | None = None,
+                       base_attempt: int = 0,
+                       allow_crash: bool = False) -> JobResult:
+    """:func:`execute_job` under the spec's retry policy and fault plan.
 
-    The uniform retry loop every in-process execution path shares
-    (serial backend, worker daemons, the baseline route): retryable
-    failures back off deterministically and re-run; terminal failures —
-    non-retryable, or attempts exhausted — raise a
-    :class:`~repro.utils.errors.JobError` whose message depends only on
-    the original exception, so every backend surfaces the same error for
-    the same faulty spec.  ``base_attempt`` offsets the attempt numbering
-    when a backend resubmits after worker loss, keeping the fault
-    schedule and seeded backoff aligned across respawns.
+    The retry loop every execution path shares (serial backend, worker
+    daemons, inline ``run_job``): retryable failures back off
+    deterministically and re-run; terminal failures — non-retryable, or
+    attempts exhausted — raise a :class:`~repro.utils.errors.JobError`
+    whose message depends only on the original exception, so every
+    backend surfaces the same error for the same faulty spec.
+    ``base_attempt`` offsets the attempt numbering when a backend
+    resubmits after worker loss, keeping the fault schedule and seeded
+    backoff aligned across respawns.
 
     On success the result's ``attempts`` counts total executions, and
     with telemetry enabled each recovered failure becomes an
@@ -312,7 +315,9 @@ def retry_call(spec: JobSpec, attempt_fn, *,
     while True:
         t0 = time.perf_counter()
         try:
-            result = attempt_fn(attempt)
+            result = execute_job(
+                spec, pool, cache, replay_cache, metrics=metrics,
+                faults=faults, attempt=attempt, allow_crash=allow_crash)
         except Exception as exc:
             duration = time.perf_counter() - t0
             if policy.should_retry(exc, attempt):
@@ -333,26 +338,11 @@ def retry_call(spec: JobSpec, attempt_fn, *,
                              and attempt + 1 >= policy.max_attempts
                              and policy.max_attempts > 1)) from exc
         result.attempts = attempt + 1
-        if failures and getattr(result, "telemetry", None) is not None:
+        if failures and result.telemetry is not None:
             result.telemetry.spans = (
                 _attempt_failure_spans(failures, base_attempt)
                 + tuple(result.telemetry.spans))
         return result
-
-
-def execute_with_retry(spec: JobSpec, pool: MachinePool, cache: CompileCache,
-                       replay_cache: ReplayCache | None = None,
-                       metrics: MetricsRegistry | None = None,
-                       faults: FaultPlan | None = None,
-                       base_attempt: int = 0,
-                       allow_crash: bool = False) -> JobResult:
-    """:func:`execute_job` under the spec's retry policy and fault plan."""
-    return retry_call(
-        spec,
-        lambda attempt: execute_job(
-            spec, pool, cache, replay_cache, metrics=metrics, faults=faults,
-            attempt=attempt, allow_crash=allow_crash),
-        metrics=metrics, base_attempt=base_attempt)
 
 
 class ExecutorBackend(abc.ABC):

@@ -6,12 +6,6 @@ uploads, Q-control-store microprograms, and the per-job run seed.  An
 executor backend turns specs into :class:`JobResult`\\ s, handed back
 through :class:`JobFuture`\\ s; a batch of results aggregates into a
 :class:`SweepResult`.
-
-Specs also carry their *route*: ``executor="quma"`` (the default) runs
-through the full QuMA event-kernel stack, while ``executor="baseline"``
-evaluates the spec's :class:`~repro.baseline.spec.ExperimentSpec` against
-the APS2 cost model (see ``repro.baseline.jobs``).  The dispatcher keys
-off this field, so one batch can interleave both.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -32,12 +26,6 @@ from repro.obs.metrics import summarize_values
 from repro.obs.spans import JobTelemetry, rebase_job_spans
 from repro.service.policy import RetryPolicy
 from repro.utils.errors import ConfigurationError, JobCancelled
-
-if TYPE_CHECKING:  # avoid a runtime service <-> baseline import cycle
-    from repro.baseline.spec import ExperimentSpec
-
-#: Known values of :attr:`JobSpec.executor` (dispatch route keys).
-EXECUTORS = ("quma", "baseline")
 
 
 def derive_job_seed(root: int, index: int) -> int:
@@ -76,15 +64,13 @@ class LUTUpload:
 class JobSpec:
     """Everything needed to execute one program on one machine setup.
 
-    For QuMA jobs exactly one of ``program`` (lowered through the
-    compiler) or ``asm`` (raw QIS+QuMIS text) must be given.  ``seed`` is
-    the *run* seed for the stochastic streams (device projection, readout
-    noise, classical jitter); the machine's construction artifacts
-    (readout calibration) always derive from ``config.seed``, so jobs with
-    different run seeds still share pooled machines.
-
-    Baseline jobs (``executor="baseline"``) instead carry a ``baseline``
-    cost-model spec and no program — see :func:`repro.baseline.jobs.baseline_job`.
+    ``config`` is required, and exactly one of ``program`` (lowered
+    through the compiler) or ``asm`` (raw QIS+QuMIS text) must be given.
+    ``seed`` is the *run* seed for the stochastic streams (device
+    projection, readout noise, classical jitter); the machine's
+    construction artifacts (readout calibration) always derive from
+    ``config.seed``, so jobs with different run seeds still share pooled
+    machines.
     """
 
     config: MachineConfig | None = None
@@ -122,11 +108,6 @@ class JobSpec:
     #: (``JobResult.joint_counts``); ``cal_qubit`` defaults to the first
     #: entry.  None keeps the scalar single-qubit calibration behavior.
     cal_targets: tuple[int, ...] | None = None
-    #: Dispatch route: ``"quma"`` (event-kernel simulation) or
-    #: ``"baseline"`` (APS2 cost model).
-    executor: str = "quma"
-    #: Cost-model workload for ``executor="baseline"`` jobs.
-    baseline: "ExperimentSpec | None" = None
     #: Collect per-stage lifecycle spans (and, when the machine runs with
     #: tracing enabled, the simulator trace) on the result's
     #: :class:`~repro.obs.spans.JobTelemetry`.  Off by default: the
@@ -148,27 +129,16 @@ class JobSpec:
     timeout: float | None = None
 
     def __post_init__(self):
-        if self.executor not in EXECUTORS:
+        if self.config is None:
+            raise ConfigurationError("QuMA jobs need config=")
+        if (self.program is None) == (self.asm is None):
             raise ConfigurationError(
-                f"unknown executor {self.executor!r}; choose from {EXECUTORS}")
-        if self.executor == "baseline":
-            if self.baseline is None:
-                raise ConfigurationError(
-                    "baseline jobs need baseline= (an ExperimentSpec)")
-            if self.program is not None or self.asm is not None:
-                raise ConfigurationError(
-                    "baseline jobs carry a cost-model spec, not a program")
-        else:
-            if self.config is None:
-                raise ConfigurationError("QuMA jobs need config=")
-            if (self.program is None) == (self.asm is None):
-                raise ConfigurationError(
-                    "JobSpec needs exactly one of program= or asm=")
+                "JobSpec needs exactly one of program= or asm=")
         if self.k_points < 1:
             raise ConfigurationError("k_points must be at least 1")
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError("timeout must be positive (or None)")
-        if (self.cal_qubit is not None and self.config is not None
+        if (self.cal_qubit is not None
                 and self.cal_qubit not in self.config.qubits):
             raise ConfigurationError(
                 f"cal_qubit {self.cal_qubit} is not wired "
@@ -181,12 +151,11 @@ class JobSpec:
             if len(set(self.cal_targets)) != len(self.cal_targets):
                 raise ConfigurationError(
                     f"duplicate qubits in cal_targets {self.cal_targets}")
-            if self.config is not None:
-                for q in self.cal_targets:
-                    if q not in self.config.qubits:
-                        raise ConfigurationError(
-                            f"cal_targets qubit {q} is not wired "
-                            f"(wired: {self.config.qubits})")
+            for q in self.cal_targets:
+                if q not in self.config.qubits:
+                    raise ConfigurationError(
+                        f"cal_targets qubit {q} is not wired "
+                        f"(wired: {self.config.qubits})")
             if self.asm is not None and self.k_points != len(self.cal_targets):
                 # Program jobs derive K at compile time; the executor
                 # re-checks the resolved K against the register width.
@@ -200,9 +169,7 @@ class JobSpec:
 
     @property
     def run_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        return self.config.seed if self.config is not None else 0
+        return self.seed if self.seed is not None else self.config.seed
 
 
 class JobFuture:
@@ -379,7 +346,6 @@ class JobResult:
     #: disabled by spec".  Surfaces silent fallbacks that would otherwise
     #: look like cache misses.
     replay_fallback_reason: str | None = None
-    executor: str = "quma"     #: which dispatch route produced this result
     #: Total execution attempts this result cost (1 = first try clean).
     #: Retried attempts re-derive the identical job seed, so the payload
     #: is bit-identical whatever this counts.
@@ -589,7 +555,6 @@ class SweepResult:
                 "replayed_rounds": job.replayed_rounds,
                 "replay_plan_hit": job.replay_plan_hit,
                 "replay_fallback_reason": job.replay_fallback_reason,
-                "executor": job.executor,
                 "attempts": job.attempts,
                 "cal_targets": (list(job.cal_targets)
                                 if job.cal_targets is not None else None),
@@ -635,7 +600,6 @@ class SweepResult:
             replayed_rounds=entry.get("replayed_rounds", 0),
             replay_plan_hit=entry.get("replay_plan_hit", False),
             replay_fallback_reason=entry.get("replay_fallback_reason"),
-            executor=entry.get("executor", "quma"),
             attempts=entry.get("attempts", 1),
             cal_targets=(tuple(entry["cal_targets"])
                          if entry.get("cal_targets") is not None else None),

@@ -96,6 +96,9 @@ def test_comparison_rows():
     assert cmp.memory_ratio == pytest.approx(2520.0 / 300.0)
     assert cmp.quma_sync_stall_ns == 0
     assert cmp.quma_upload_s < cmp.aps2_upload_s
+    slow = compare_architectures(allxy_spec(), bandwidth_bytes_per_s=1e6)
+    fast = compare_architectures(allxy_spec(), bandwidth_bytes_per_s=4e6)
+    assert slow.aps2_upload_s == pytest.approx(4 * fast.aps2_upload_s)
 
 
 def test_reconfiguration_cost_asymmetry():

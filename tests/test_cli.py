@@ -142,7 +142,7 @@ def test_exp_stream_prints_jobs_and_fits(capsys):
                "--param", "amplitudes=[0.0, 0.25, 0.5, 0.75, 0.999]"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "done [quma]" in out
+    assert "  done " in out
     assert "fit 5/5" in out
 
 

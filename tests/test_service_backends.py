@@ -10,6 +10,7 @@ parametrized backend (the CI matrix runs one backend per job); unset, the
 tests cover both.
 """
 
+import json
 import os
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.compiler import CompilerOptions, QuantumProgram
 from repro.core import MachineConfig
 from repro.experiments.rabi import rabi_job
 from repro.cli import _run_specs
+from repro.session import Session
 from repro.service import (
     CompileCache,
     ExperimentService,
@@ -44,27 +46,29 @@ def flip_program():
     return p
 
 
-def flip_spec(seed=None, n_rounds=2, label=""):
+def flip_spec(seed=None, n_rounds=2, label="", telemetry=False):
     return JobSpec(config=MachineConfig(qubits=(2,), trace_enabled=False),
                    program=flip_program(),
                    compiler_options=CompilerOptions(n_rounds=n_rounds),
-                   seed=seed, label=label)
+                   seed=seed, label=label, telemetry=telemetry)
 
 
 def warm_every_worker(svc, workers):
-    """Run throwaway flip jobs until each worker holds the flip machine.
+    """Run throwaway flip jobs until each worker has run one.
 
-    A worker's pool builds the machine exactly once, so the number of
-    results with ``machine_reused`` false is the number of warm workers.
+    Counts the distinct worker names on the warm-ups' telemetry rather
+    than cold machine builds: a worker shared with earlier tests (a
+    long-running fleet daemon) already holds the flip machine and builds
+    none, yet it is just as warm.
     """
-    warm = 0
+    warm = set()
     for _ in range(20):
-        futures = [svc.submit(flip_spec(label="warm-up"))
+        futures = [svc.submit(flip_spec(label="warm-up", telemetry=True))
                    for _ in range(workers)]
-        warm += sum(not r.machine_reused for r in svc.iter_completed(futures))
-        if warm == workers:
+        warm.update(r.telemetry.worker for r in svc.iter_completed(futures))
+        if len(warm) == workers:
             return
-    pytest.fail(f"only {warm} of {workers} workers ran a warm-up job")
+    pytest.fail(f"only {len(warm)} of {workers} workers ran a warm-up job")
 
 
 def mixed_specs():
@@ -264,7 +268,7 @@ class TestScopedDraining:
                 seen_a.append(result)
         announced = capsys.readouterr().out
         assert sorted(r.label for r in seen_a) == ["a0", "a1", "a2"]
-        assert sorted(line.split()[2] for line in announced.splitlines()
+        assert sorted(line.split()[1] for line in announced.splitlines()
                       ) == ["b0", "b1", "b2"]
         assert [r.label for r in sweep_b] == ["b0", "b1", "b2"]
 
@@ -284,6 +288,26 @@ class TestScopedDraining:
             assert len(list(svc.iter_completed(futures, timeout=10))) == 1
 
 
+class TestStats:
+    """``stats()`` is one plain dict around the service's one executor."""
+
+    KEYS = {"backend", "submitted", "executor", "cache", "pool",
+            "replay_cache", "metrics"}
+
+    def test_service_and_session_stats_are_plain_json(self, backend):
+        with ExperimentService(backend=backend, workers=2) as svc, \
+                Session(backend=backend, workers=2) as session:
+            for service in (svc, session.service):
+                futures = [service.submit(flip_spec(seed=s, telemetry=True))
+                           for s in (1, 2)]
+                list(service.iter_completed(futures))
+            for stats in (svc.stats(), session.stats()):
+                assert set(stats) == self.KEYS
+                assert stats["executor"]["backend"] == backend
+                assert stats["executor"]["submitted"] == 2
+                json.loads(json.dumps(stats))
+
+
 class TestRunSpecSweep:
     """The streamed spec sweep behind ``repro batch --stream``."""
 
@@ -295,7 +319,7 @@ class TestRunSpecSweep:
         announced = capsys.readouterr().out.splitlines()
         assert np.array_equal(serial.averages(), sweep.averages())
         assert len(announced) == len(specs)
-        assert all(line.startswith("  done [") for line in announced)
+        assert all(line.startswith("  done ") for line in announced)
 
 
 class TestDiskSpillCache:
@@ -371,6 +395,21 @@ class TestSweepArtifacts:
         assert loaded.machine_reuse_rate == sweep.machine_reuse_rate
         assert loaded.replay_rate == sweep.replay_rate
         assert loaded[0].run is None  # simulator internals not persisted
+
+    def test_loads_artifacts_that_tag_each_job_with_its_route(self,
+                                                               tmp_path):
+        """Older artifacts carry ``"executor": "quma"`` on every job."""
+        sweep = ExperimentService().run_batch(mixed_specs())
+        path = tmp_path / "sweep.json"
+        sweep.save(path)
+        data = json.loads(path.read_text())
+        assert all("executor" not in job for job in data["jobs"])
+        for job in data["jobs"]:
+            job["executor"] = "quma"
+        path.write_text(json.dumps(data))
+        loaded = SweepResult.load(path)
+        assert np.array_equal(loaded.averages(), sweep.averages())
+        assert [j.seed for j in loaded] == [j.seed for j in sweep]
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "not_a_sweep.json"

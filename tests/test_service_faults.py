@@ -274,7 +274,7 @@ class TestChaosDeterminism:
             retries = rabi.sweep.total_retries + bell.sweep.total_retries
             assert retries > 0  # the chaos actually bit
             stats = session.stats()
-            assert stats["routes"]["quma"]["failed"] == 0
+            assert stats["executor"]["failed"] == 0
             service = stats["metrics"]["service"]["counters"]
             assert service["service.retries"] == retries
 
@@ -361,7 +361,7 @@ class TestRetryExecution:
             assert exc.quarantined and exc.attempts == 2
             assert exc.exc_type == "FaultInjected"
             assert "(after 2 attempts)" in str(exc)
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["executor"]
             assert stats["failed"] == 1 and stats["quarantined"] == 1
             entry = stats["quarantine"][0]
             assert entry["label"] == "poison" and entry["exhausted"]
@@ -427,7 +427,7 @@ class TestWorkerLoss:
                                                   backoff_s=0.001))
         with svc:
             sweep = svc.run_batch([flip_spec(seed=i) for i in range(5)])
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["executor"]
         assert np.array_equal(sweep.averages(), baseline.averages())
         assert stats["worker_losses"] > 0  # workers really died
         assert stats["failed"] == 0
@@ -471,7 +471,7 @@ class TestWorkerLoss:
             future = svc.submit(flip_spec(seed=0, label="doomed"))
             svc.drain(timeout=60.0)
             exc = future.exception()
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["executor"]
         assert isinstance(exc, JobError)
         assert exc.exc_type == "WorkerLost"
         assert stats["worker_losses"] >= 2
@@ -483,12 +483,12 @@ class TestWorkerLoss:
                          sites=("execute",))
         svc = ExperimentService(backend="process", workers=1, faults=plan)
         with svc:
-            backend = svc.dispatcher.routes["quma"]
+            backend = svc.executor
             backend.KILL_GRACE_S = 0.1
             future = svc.submit(flip_spec(seed=0, timeout=0.2))
             svc.drain(timeout=30.0)
             exc = future.exception()
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["executor"]
         assert isinstance(exc, JobError)
         assert stats["hang_kills"] >= 1
 
@@ -510,7 +510,7 @@ class TestWorkerLoss:
 def daemon_pids(svc):
     """Pids of a started process service's live local daemons."""
     return [worker["remote"]["pid"]
-            for worker in svc.stats()["routes"]["quma"]["workers"]
+            for worker in svc.stats()["executor"]["workers"]
             if worker["alive"] and "remote" in worker]
 
 
@@ -566,7 +566,7 @@ class TestLocalDaemons:
             while before[0] in after and time.monotonic() < deadline:
                 time.sleep(0.05)
                 after = daemon_pids(svc)
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["executor"]
             sweep = svc.run_batch([flip_spec(seed=i) for i in range(4)])
         assert len(after) == 2 and before[0] not in after
         assert before[1] in after
@@ -591,7 +591,7 @@ class TestLocalDaemons:
                      for seed in (1, 2)]
             svc = ExperimentService(backend="process", workers=2)
             svc.run_batch(specs)
-            workers = svc.stats()["routes"]["quma"]["workers"]
+            workers = svc.stats()["executor"]["workers"]
             print(*(w["remote"]["pid"] for w in workers), flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
         """)
@@ -704,25 +704,29 @@ class TestFailingJobParity:
 
     @pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
     def test_poison_job_does_not_block_healthy_stream(self, backend):
-        plan = FaultPlan(seed=1, rate=1.0, sites=("compile",),
+        plan = FaultPlan(seed=1, rate=0.5, sites=("compile",),
                          max_faults_per_site=None)
+        retry = RetryPolicy(max_attempts=2, backoff_s=0.0)
+        # The schedule faults seed 0 at compile on every attempt (a
+        # rate-1.0 schedule for that job) and never touches the healthy
+        # seeds, so only the poisoned job exhausts its retries.
+        attempts = range(retry.max_attempts)
+        assert all(plan.fault_for("compile", 0, a) is not None
+                   for a in attempts)
+        healthy_seeds = (2, 5)
+        for seed in healthy_seeds:
+            for a in attempts:
+                assert plan.fault_for("compile", seed, a) is None
         svc = ExperimentService(backend=backend, workers=2, faults=plan,
-                                retry=RetryPolicy(max_attempts=2,
-                                                  backoff_s=0.0))
+                                retry=retry)
         with svc:
-            # The plan poisons every QuMA job at compile; the baseline
-            # route has no compile site, so its jobs stay healthy.
-            from repro.baseline.jobs import baseline_job
-            from repro.baseline.spec import synthetic_spec
-
             poisoned = svc.submit(flip_spec(seed=0), stream=False)
-            healthy = [svc.submit(baseline_job(
-                synthetic_spec(4, 3), label=f"base{i}"), stream=False)
-                for i in range(2)]
+            healthy = [svc.submit(flip_spec(seed=seed), stream=False)
+                       for seed in healthy_seeds]
             svc.drain(timeout=60.0)
             assert isinstance(poisoned.exception(), JobError)
             assert all(f.exception() is None for f in healthy)
-            assert svc.stats()["routes"]["quma"]["quarantined"] == 1
+            assert svc.stats()["executor"]["quarantined"] == 1
 
 
 # -- CLI surface --------------------------------------------------------------
@@ -780,7 +784,7 @@ class TestQuarantineBound:
             for i in range(5):
                 svc.submit(flip_spec(seed=i, label=f"p{i}"))
             svc.drain()
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["executor"]
         assert stats["failed"] == 5
         assert len(stats["quarantine"]) == 2
         assert stats["quarantine_evicted"] == 3
@@ -791,7 +795,7 @@ class TestQuarantineBound:
         with self._poison_service() as svc:
             svc.submit(flip_spec(seed=0))
             svc.drain()
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["executor"]
         assert stats["quarantined"] == 1
         assert stats["quarantine_evicted"] == 0
 
@@ -803,7 +807,6 @@ class TestQuarantineBound:
         from repro.session import Session
 
         with Session(max_quarantine=7) as session:
-            stats = session.service.stats()["routes"]["quma"]
+            stats = session.service.stats()["executor"]
             assert stats["quarantine_evicted"] == 0
-            route = session.service.dispatcher.routes["quma"]
-            assert route.max_quarantine == 7
+            assert session.service.executor.max_quarantine == 7

@@ -265,7 +265,7 @@ class TestFleetParity:
         with ExperimentService(backend="fleet",
                                fleet_workers=fleet_addrs) as svc:
             got = svc.run_batch(specs)
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["executor"]
         for a, b in zip(ref, got):
             assert a.seed == b.seed
             np.testing.assert_array_equal(a.averages, b.averages)
@@ -346,7 +346,7 @@ class TestWorkerLoss:
                 time.sleep(0.6)
                 os.kill(p1.pid, signal.SIGKILL)
                 got = [f.result(timeout=120.0) for f in futures]
-                stats = svc.stats()["routes"]["quma"]
+                stats = svc.stats()["executor"]
         finally:
             stop_worker(p1)
             stop_worker(p2)
@@ -520,7 +520,7 @@ class TestDaemon:
         with ExperimentService(backend="fleet",
                                fleet_workers=fleet_addrs) as svc:
             svc.run_batch([flip_spec(seed=i + 1) for i in range(4)])
-            workers = svc.stats()["routes"]["quma"]["workers"]
+            workers = svc.stats()["executor"]["workers"]
         assert len(workers) == 2
         for entry in workers:
             assert entry["alive"]

@@ -39,10 +39,14 @@ def make_rabi(params):
 class TestJobSpec:
     def test_needs_exactly_one_source(self):
         config = MachineConfig(qubits=(2,))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="exactly one of"):
             JobSpec(config=config)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="exactly one of"):
             JobSpec(config=config, program=flip_program(), asm="halt")
+
+    def test_quma_spec_requires_config(self):
+        with pytest.raises(ConfigurationError, match="need config="):
+            JobSpec(asm="halt")
 
     def test_run_seed_defaults_to_config_seed(self):
         assert flip_spec().run_seed == 0
